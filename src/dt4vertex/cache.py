@@ -27,18 +27,22 @@ def default_cache_dir():
 
 
 class VertexCache:
-    """In-memory vertex store with optional JSONL persistence; get/put are
-    thread-safe with single-writer appends."""
+    """In-memory vertex store persisted as JSONL; get/put are thread-safe
+    with single-writer appends.
 
-    def __init__(self, directory=None, persist=True):
+    An append that was cut short leaves a last line without its newline.
+    Loading skips that line, and the next append cuts it away first; any
+    other malformed line raises.
+    """
+
+    def __init__(self, directory=None):
         self.directory = directory if directory is not None else default_cache_dir()
-        self.persist = persist
         self._lock = threading.Lock()
         self._data = {}
+        self._torn_at = None  # byte offset of a torn last line, if any
         self.hits = 0
         self.misses = 0
-        if self.persist:
-            self._load()
+        self._load()
 
     @property
     def path(self):
@@ -47,13 +51,18 @@ class VertexCache:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             header = fh.readline()
-            if header:
-                meta = json.loads(header)
-                if meta.get("format") != FORMAT or meta.get("version") != VERSION:
-                    raise ValueError(f"unrecognized cache file {self.path}")
+            if not header.endswith(b"\n"):  # an empty file or a torn header
+                self._torn_at = 0
+                return
+            meta = json.loads(header)
+            if meta.get("format") != FORMAT or meta.get("version") != VERSION:
+                raise ValueError(f"unrecognized cache file {self.path}")
             for line in fh:
+                if not line.endswith(b"\n"):
+                    self._torn_at = fh.tell() - len(line)
+                    break
                 line = line.strip()
                 if line:
                     rec = json.loads(line)
@@ -61,11 +70,13 @@ class VertexCache:
 
     def _append(self, record):
         os.makedirs(self.directory, exist_ok=True)
-        new = not os.path.exists(self.path)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write(json.dumps({"format": FORMAT, "version": VERSION}) + "\n")
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with open(self.path, "ab") as fh:
+            if self._torn_at is not None:
+                fh.truncate(self._torn_at)
+                self._torn_at = None
+            if fh.seek(0, os.SEEK_END) == 0:
+                fh.write(json.dumps({"format": FORMAT, "version": VERSION}).encode() + b"\n")
+            fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
 
     def get(self, key):
         with self._lock:
@@ -81,8 +92,7 @@ class VertexCache:
             if key in self._data:
                 return
             self._data[key] = record
-            if self.persist:
-                self._append(record)
+            self._append(record)
 
     def keys(self):
         with self._lock:
@@ -93,17 +103,13 @@ class VertexCache:
 
     def stats(self):
         with self._lock:
-            return {
-                "directory": self.directory,
-                "entries": len(self._data),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+            return {"directory": self.directory, "entries": len(self._data)}
 
     def clear(self):
         with self._lock:
             self._data.clear()
             self.hits = 0
             self.misses = 0
-            if self.persist and os.path.exists(self.path):
+            self._torn_at = None
+            if os.path.exists(self.path):
                 os.remove(self.path)

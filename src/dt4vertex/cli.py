@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cache import VertexCache
@@ -49,7 +48,6 @@ class RunConfig:
     nn_max: int = 0
     cache_dir: str = ""
     use_cache: bool = False
-    threads: int = 1
     as_json: bool = False
 
 
@@ -101,45 +99,40 @@ def _series_json(series, extra):
 
 def cmd_vertex(cfg, out):
     cache = VertexCache(cfg.cache_dir or None) if cfg.use_cache else None
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        legs = cfg.legs
-        signs = _load_signs(cfg, legs, cache)
-        fn = dt_vertex_series if cfg.flavor == "dt" else pt_vertex_series
-        series = fn(*legs, cfg.order, signs=signs, cache=cache, pool=pool)
-        lowest = series.lowest_order
-        normalized = series.shift(-lowest) if series.coeffs else series
-        witness = {} if cfg.sign_policy == "canonical" else dict(signs.items())
-        if cfg.as_json:
-            out.write(
-                json.dumps(
-                    _series_json(
-                        series,
-                        {
-                            "flavor": cfg.flavor,
-                            "legs": [pp.render() for pp in legs],
-                            "N": cfg.order,
-                            "lowest_order": lowest,
-                            "signs_witness": witness,
-                        },
-                    ),
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
+    legs = cfg.legs
+    signs = _load_signs(cfg, legs, cache)
+    fn = dt_vertex_series if cfg.flavor == "dt" else pt_vertex_series
+    series = fn(*legs, cfg.order, signs=signs, cache=cache)
+    lowest = series.lowest_order
+    normalized = series.shift(-lowest) if series.coeffs else series
+    witness = {} if cfg.sign_policy == "canonical" else dict(signs.items())
+    if cfg.as_json:
+        out.write(
+            json.dumps(
+                _series_json(
+                    series,
+                    {
+                        "flavor": cfg.flavor,
+                        "legs": [pp.render() for pp in legs],
+                        "N": cfg.order,
+                        "lowest_order": lowest,
+                        "signs_witness": witness,
+                    },
+                ),
+                indent=2,
+                sort_keys=True,
             )
-        else:
-            out.write(f"{cfg.flavor.upper()} vertex, legs {','.join(pp.render() for pp in legs)}\n")
-            out.write(f"lowest order: q^{lowest}\n")
-            out.write(f"series: {series.render()}\n")
-            out.write(f"normalized: {normalized.render()}\n")
-            if witness:
-                out.write("signs witness:\n")
-                for k, v in sorted(witness.items()):
-                    out.write(f"  {'+' if v > 0 else '-'} {k}\n")
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            + "\n"
+        )
+    else:
+        out.write(f"{cfg.flavor.upper()} vertex, legs {','.join(pp.render() for pp in legs)}\n")
+        out.write(f"lowest order: q^{lowest}\n")
+        out.write(f"series: {series.render()}\n")
+        out.write(f"normalized: {normalized.render()}\n")
+        if witness:
+            out.write("signs witness:\n")
+            for k, v in sorted(witness.items()):
+                out.write(f"  {'+' if v > 0 else '-'} {k}\n")
     return 0
 
 
@@ -214,7 +207,7 @@ def cmd_cache(action, cfg, out):
         if cfg.as_json:
             out.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
         else:
-            for k in ("directory", "entries", "hits", "misses"):
+            for k in ("directory", "entries"):
                 out.write(f"{k}: {stats[k]}\n")
         return 0
     if action == "clear":
@@ -239,7 +232,6 @@ def build_parser():
     v.add_argument("--sign-policy", choices=("canonical", "solve", "file"),
                    default="canonical")
     v.add_argument("--signs-file", default="")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--cache-dir", default="")
     v.add_argument("--no-cache", action="store_true")
     v.add_argument("--json", action="store_true")
@@ -305,7 +297,6 @@ def _dispatch(args, out):
                 signs_file=args.signs_file,
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
-                threads=args.threads,
                 as_json=args.json,
             )
             if cfg.flavor == "pt":

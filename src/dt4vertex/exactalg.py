@@ -19,27 +19,186 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .kernels import (
-    laurent_add,
-    laurent_bar,
-    laurent_mul,
-    laurent_neg,
-    laurent_scale,
-    laurent_shift,
-    laurent_sub,
-    laurent_subst,
-    poly_add,
-    poly_linear_mul,
-    poly_mul,
-    poly_neg,
-    poly_scale,
-    poly_sub,
-)
-
 Weight = tuple  # 4-tuple of ints, the exponent vector of t^w
 Form = tuple    # 3-tuple of ints, the coefficients of c1*l1+c2*l2+c3*l3
 
 ONE4 = (1, 1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# dict kernels: Laurent polynomials in t1..t4 map 4-tuples of exponents to
+# nonzero integers, polynomials in l1..l3 map 3-tuples; no kernel mutates
+# its inputs.
+
+
+def laurent_add(a, b):
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for w, c in b.items():
+        s = out.get(w, 0) + c
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
+
+
+def laurent_sub(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        s = out.get(w, 0) - c
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
+
+
+def laurent_neg(a):
+    return {w: -c for w, c in a.items()}
+
+
+def laurent_scale(a, k):
+    if k == 0:
+        return {}
+    if k == 1:
+        return dict(a)
+    return {w: c * k for w, c in a.items()}
+
+
+def laurent_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    bi = list(b.items())
+    for (w1, w2, w3, w4), c in a.items():
+        for (v1, v2, v3, v4), d in bi:
+            w = (w1 + v1, w2 + v2, w3 + v3, w4 + v4)
+            s = out.get(w, 0) + c * d
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+    return out
+
+
+def laurent_shift(a, w):
+    w1, w2, w3, w4 = w
+    if not (w1 or w2 or w3 or w4):
+        return dict(a)
+    return {(v1 + w1, v2 + w2, v3 + w3, v4 + w4): c
+            for (v1, v2, v3, v4), c in a.items()}
+
+
+def laurent_bar(a):
+    return {(-w1, -w2, -w3, -w4): c for (w1, w2, w3, w4), c in a.items()}
+
+
+def laurent_subst(a, cols):
+    """Substitute t_i -> t^cols[i]; cols are four 4-tuples (a matrix by columns)."""
+    (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3), (a4, b4, c4, d4) = cols
+    out = {}
+    for (w1, w2, w3, w4), c in a.items():
+        w = (w1 * a1 + w2 * a2 + w3 * a3 + w4 * a4,
+             w1 * b1 + w2 * b2 + w3 * b3 + w4 * b4,
+             w1 * c1 + w2 * c2 + w3 * c3 + w4 * c4,
+             w1 * d1 + w2 * d2 + w3 * d3 + w4 * d4)
+        s = out.get(w, 0) + c
+        if s:
+            out[w] = s
+        else:
+            del out[w]
+    return out
+
+
+def poly_add(a, b):
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def poly_sub(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) - c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def poly_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def poly_scale(a, k):
+    if k == 0:
+        return {}
+    if k == 1:
+        return dict(a)
+    return {m: c * k for m, c in a.items()}
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    bi = list(b.items())
+    for (e1, e2, e3), c in a.items():
+        for (f1, f2, f3), d in bi:
+            m = (e1 + f1, e2 + f2, e3 + f3)
+            s = out.get(m, 0) + c * d
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
+def poly_linear_mul(p, form):
+    """Multiply p by the linear form c1*l1 + c2*l2 + c3*l3."""
+    c1, c2, c3 = form
+    out = {}
+    for (e1, e2, e3), c in p.items():
+        if c1:
+            m = (e1 + 1, e2, e3)
+            s = out.get(m, 0) + c * c1
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        if c2:
+            m = (e1, e2 + 1, e3)
+            s = out.get(m, 0) + c * c2
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        if c3:
+            m = (e1, e2, e3 + 1)
+            s = out.get(m, 0) + c * c3
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
 
 
 class NotPolynomial(Exception):
@@ -58,14 +217,6 @@ def weight_form(w):
     """Linear form of t^w on the Calabi-Yau torus: w1*l1+w2*l2+w3*l3+w4*l4
     with l4 = -l1-l2-l3, i.e. the coefficient tuple (w1-w4, w2-w4, w3-w4)."""
     return (w[0] - w[3], w[1] - w[3], w[2] - w[3])
-
-
-def form_add(f, g):
-    return (f[0] + g[0], f[1] + g[1], f[2] + g[2])
-
-
-def form_neg(f):
-    return (-f[0], -f[1], -f[2])
 
 
 def canonical_form(f):
@@ -412,20 +563,8 @@ def tchar_reduce(z):
     return r.num if not r.den else r
 
 
-def tchar_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # polynomials in l1..l3 (plain dict helpers)
-
-
-def poly_zero():
-    return {}
 
 
 def poly_one():
@@ -1053,16 +1192,6 @@ class QSeries:
                 for k, v in sorted(self.coeffs.items())
             ],
         }
-
-
-def qseries_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "divide_by_unit":
-        return a.divide_by_unit(b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def qexp(c, trunc):

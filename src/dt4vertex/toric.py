@@ -663,7 +663,7 @@ def insertion_value_cm(g, gammas, legs_per_chart):
 # global series
 
 
-def global_series(g, beta, flavor, gammas, trunc, signs=None, cache=None, pool=None):
+def global_series(g, beta, flavor, gammas, trunc, signs=None, cache=None):
     """Sum over fixed points of sign * product of substituted vertex and
     edge Euler roots * insertions * q^chi, truncated at q^trunc.
 
@@ -697,9 +697,7 @@ def global_series(g, beta, flavor, gammas, trunc, signs=None, cache=None, pool=N
                 cms[b].renormalized_volume() for b in range(len(cms)) if b != alpha
             )
             strunc = trunc - chi_f - others
-            s = series_fn(
-                *L, strunc, signs=signs, subst=g.charts[alpha], cache=cache, pool=pool
-            )
+            s = series_fn(*L, strunc, signs=signs, subst=g.charts[alpha], cache=cache)
             prod = s if prod is None else prod * s
         if prod is None:
             prod = QSeries.one(trunc)

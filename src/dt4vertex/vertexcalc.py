@@ -345,10 +345,6 @@ def pt_vertex_character(config):
 _MEMO = {}
 
 
-def clear_memo():
-    _MEMO.clear()
-
-
 def _root_cached(base_key, subst, make_v, cache):
     key = subst_key(subst) + base_key
     if cache is None:
@@ -404,15 +400,11 @@ def sign_of(signs, key):
     return s
 
 
-def _series_from_points(points, trunc, signs, pool):
+def _series_from_points(points, trunc, signs):
     """Deterministic aggregation of (key, order, root) contributions into a
     QSeries: terms are summed in canonical key order per q-order."""
-    if pool is not None:
-        computed = list(pool.map(lambda f: f(), points))
-    else:
-        computed = [f() for f in points]
     by_order = {}
-    for key, order, root in computed:
+    for key, order, root in points:
         by_order.setdefault(order, []).append((key, root))
     coeffs = {}
     for order in sorted(by_order):
@@ -425,7 +417,7 @@ def _series_from_points(points, trunc, signs, pool):
     return QSeries(trunc, coeffs)
 
 
-def dt_vertex_series(lam, mu, nu, rho, trunc, signs=None, subst=None, cache=None, pool=None):
+def dt_vertex_series(lam, mu, nu, rho, trunc, signs=None, subst=None, cache=None):
     """The equivariant DT vertex: sum over solid partitions with the given
     legs of sign * sqrt((-1)^a e_T(-V)) q^{renormalized volume}."""
     legs = (lam, mu, nu, rho)
@@ -434,19 +426,14 @@ def dt_vertex_series(lam, mu, nu, rho, trunc, signs=None, subst=None, cache=None
     max_added = trunc - 1 - lowest
     if max_added < 0:
         return QSeries.zero(trunc)
-    jobs = []
+    points = []
     for sp in enumerate_dt(lam, mu, nu, rho, max_added):
-        order = lowest + sp.n_added()
-
-        def job(sp=sp, order=order):
-            key, root = dt_vertex_root(sp, subst, cache)
-            return key, order, root
-
-        jobs.append(job)
-    return _series_from_points(jobs, trunc, signs, pool)
+        key, root = dt_vertex_root(sp, subst, cache)
+        points.append((key, lowest + sp.n_added(), root))
+    return _series_from_points(points, trunc, signs)
 
 
-def pt_vertex_series(lam, mu, nu, rho, trunc, signs=None, subst=None, cache=None, pool=None):
+def pt_vertex_series(lam, mu, nu, rho, trunc, signs=None, subst=None, cache=None):
     """The equivariant PT vertex: sum over gravity-closed box configurations
     over the CM curve of sign * sqrt((-1)^a e_T(-V)) q^{|B| + |pi_CM|}."""
     legs = (lam, mu, nu, rho)
@@ -456,13 +443,8 @@ def pt_vertex_series(lam, mu, nu, rho, trunc, signs=None, subst=None, cache=None
     max_len = trunc - 1 - lowest
     if max_len < 0:
         return QSeries.zero(trunc)
-    jobs = []
+    points = []
     for config in enumerate_boxconfigs(module, max_len):
-        order = lowest + config.weighted_length()
-
-        def job(config=config, order=order):
-            key, root = pt_vertex_root(config, subst, cache)
-            return key, order, root
-
-        jobs.append(job)
-    return _series_from_points(jobs, trunc, signs, pool)
+        key, root = pt_vertex_root(config, subst, cache)
+        points.append((key, lowest + config.weighted_length(), root))
+    return _series_from_points(points, trunc, signs)

@@ -6,8 +6,12 @@ deferred to later calibration.
 
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
 
+import dt4vertex
 from dt4vertex.cli import main
 from dt4vertex.exactalg import LambdaRat, bar_involution, poly_from_form
 from dt4vertex.partitions import (
@@ -275,27 +279,30 @@ class TestCriterion6Oracles:
 
 
 class TestCriterion7Determinism:
-    def test_thread_count_independence(self):
-        args = ["vertex", "--flavor", "dt", "--legs", "[[1]],[],[],[]",
-                "--order", "3", "--no-cache", "--json"]
-        outs = []
-        for threads in ("1", "4"):
-            buf = io.StringIO()
-            rc = main(args + ["--threads", threads], out=buf)
-            assert rc == 0
-            outs.append(buf.getvalue())
-        ok = outs[0] == outs[1]
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        from dt4vertex.toric import global_series, preset_local_curve
-
-        g = preset_local_curve(0, -1, -1)
-        seq = global_series(g, (1,), "pt", (), 3)
-        with ThreadPoolExecutor(4) as pool:
-            par = global_series(g, (1,), "pt", (), 3, pool=pool)
-        ok = ok and seq.render() == par.render()
-        report("7a byte-identical output across thread counts", ok)
+    def test_hash_seed_independence(self):
+        # set iteration order varies with the hash seed and reaches the
+        # computation, so fresh processes under two seeds must still agree
+        src = os.path.dirname(os.path.dirname(dt4vertex.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        commands = [
+            ["check", "dtpt", "--legs", "[[1]],[[1]],[],[]", "--order", "3", "--json"],
+            ["check", "global", "--geometry", "localcurve", "--beta", "1",
+             "--order", "3", "--json"],
+        ]
+        ok = True
+        for args in commands:
+            outs = []
+            for seed in ("0", "1"):
+                env["PYTHONHASHSEED"] = seed
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dt4vertex.cli", *args],
+                    env=env, capture_output=True, check=False,
+                )
+                assert proc.returncode == 0, proc.stderr.decode()
+                outs.append(proc.stdout)
+            ok = ok and outs[0] == outs[1]
+        report("7a byte-identical output across hash seeds", ok)
 
     def test_repeat_runs_identical(self):
         a = check_nekrasov(3).render_json()
