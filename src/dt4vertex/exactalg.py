@@ -6,9 +6,13 @@ Four layers, all exact (no floating point anywhere):
   integer coefficients and Z^4 exponents.
 * ``TChar`` -- fractions of Laurent polynomials whose denominators are
   products of factors (1 - t^w); the home of rational characters.
-* ``LambdaRat`` / ``FactoredWeightProduct`` -- the rational function field
-  in the equivariant parameters l1, l2, l3 (l4 is eliminated through
-  l1+l2+l3+l4 = 0), with a factored fast path of integer linear forms.
+* ``LambdaRat`` / ``FactoredWeightProduct`` -- rational functions in the
+  equivariant parameters l1, l2, l3 (l4 is eliminated through
+  l1+l2+l3+l4 = 0) whose denominators are products of linear forms, as
+  Euler classes are.  A LambdaRat has one normal form, num / (scalar *
+  prod p^e), so equal values are equal fields and render to equal text;
+  it divides by units and, through ``FactoredWeightProduct``, by any
+  product of linear forms.
 * ``QSeries`` -- truncated Laurent series in q with LambdaRat coefficients.
 
 Values are immutable after construction and safe to share across threads.
@@ -206,7 +210,8 @@ class NotPolynomial(Exception):
 
 
 class DivisionNotUnit(Exception):
-    """q-series division by a series whose order-0 coefficient is not a unit."""
+    """Division by a non-unit: a LambdaRat whose numerator is not constant,
+    or a q-series whose order-0 coefficient is not such a unit."""
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +572,6 @@ def tchar_reduce(z):
 # polynomials in l1..l3 (plain dict helpers)
 
 
-def poly_one():
-    return {(0, 0, 0): 1}
-
-
 def poly_const(c):
     return {(0, 0, 0): c} if c else {}
 
@@ -651,15 +652,6 @@ def poly_div_linear(p, form):
     return out
 
 
-def poly_eval(p, point):
-    """Evaluate at a triple of Fractions/ints."""
-    x, y, z = point
-    total = Fraction(0)
-    for (e1, e2, e3), c in p.items():
-        total += c * x**e1 * y**e2 * z**e3
-    return total
-
-
 def poly_eval_mod(p, point, mod):
     x, y, z = (a % mod for a in point)
     total = 0
@@ -689,182 +681,143 @@ def render_poly(p):
 # the rational function field in l1, l2, l3
 
 
-class LambdaRat:
-    """Exact rational function in l1, l2, l3.
+def _expand_product(c, factors):
+    """The polynomial c * prod p^e, multiplied out in sorted factor order."""
+    out = poly_const(c)
+    for p in sorted(factors):
+        for _ in range(factors[p]):
+            out = poly_linear_mul(out, p)
+    return out
 
-    Stored as a pair of integer polynomials, normalized by content removal
-    with the denominator's leading coefficient positive.  Equality is decided
-    by cross-multiplication, so num/den need not be coprime; a private
-    factored-denominator hint keeps the common case (denominators that are
-    products of integer linear forms) fully reduced and fast.
+
+class LambdaRat:
+    """Exact rational function num / (scalar * prod p^e) in l1, l2, l3.
+
+    ``num`` is an integer polynomial, ``scalar`` a positive int and each
+    ``p`` a primitive linear form with positive first nonzero coefficient,
+    the shape of every equivariant Euler class.  In the normal form no ``p``
+    divides ``num`` and gcd(content(num), scalar) = 1; zero is 0 / 1.  The
+    form is unique, so equality compares fields and equal values render to
+    equal text.  ``den`` is the expanded denominator.  Division is by units
+    (``inv``) or, for any product of linear forms, by multiplying with
+    ``(FactoredWeightProduct ** -1).expand()``.
     """
 
-    __slots__ = ("num", "den", "_dfac")
+    __slots__ = ("num", "scalar", "factors", "den")
 
-    def __init__(self, num, den=None, _dfac=None):
+    def __init__(self, num, scalar=1, factors=None):
+        """``factors`` maps primitive positive-lead forms to positive
+        exponents; the factors dividing ``num`` and the common integer
+        content cancel."""
         num = {tuple(m): c for m, c in num.items() if c}
-        if den is None:
-            den = poly_one()
-        else:
-            den = {tuple(m): c for m, c in den.items() if c}
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num = {}
-            self.den = poly_one()
-            self._dfac = (1, {})
-            return
-        g = gcd(poly_content(num), poly_content(den))
-        if g > 1:
-            num = poly_div_exact_int(num, g)
-            den = poly_div_exact_int(den, g)
-            if _dfac is not None:
-                _dfac = (_dfac[0] // g, _dfac[1])
-        lead = den[max(den)]
-        if lead < 0:
-            num = poly_neg(num)
-            den = poly_neg(den)
-            if _dfac is not None:
-                _dfac = None  # factored denominators are positive by construction
-        if _dfac is None:
-            keys = list(den)
-            if len(keys) == 1 and keys[0] == (0, 0, 0):
-                _dfac = (den[keys[0]], {})
-            elif all(sum(m) == 1 for m in keys):
-                # primitive positive-lead linear form after normalization
-                vec = (
-                    den.get((1, 0, 0), 0),
-                    den.get((0, 1, 0), 0),
-                    den.get((0, 0, 1), 0),
-                )
-                s, g, p = canonical_form(vec)
-                if s == 1 and g == 1:
-                    _dfac = (1, {p: 1})
-        self.num = num
-        self.den = den
-        self._dfac = _dfac
-
-    # -- constructors
-
-    @classmethod
-    def from_int(cls, k):
-        return cls(poly_const(k))
-
-    @classmethod
-    def from_fraction(cls, f):
-        f = Fraction(f)
-        return cls(poly_const(f.numerator), poly_const(f.denominator))
-
-    @classmethod
-    def from_factored(cls, num, scalar, facs):
-        """num / (scalar * prod p^e) with primitive positive-lead forms p,
-        reducing linear factors into the numerator when exact."""
+        if scalar < 1:
+            raise ValueError("scalar must be a positive int")
         out_facs = {}
-        for p in sorted(facs):
-            e = facs[p]
+        for p in sorted(factors or ()):
+            e = factors[p]
             while e > 0 and num:
                 q = poly_div_linear(num, p)
                 if q is None:
                     break
                 num = q
                 e -= 1
-            if e:
+            if e > 0:
                 out_facs[p] = e
-        den = poly_one()
-        for p in sorted(out_facs):
-            for _ in range(out_facs[p]):
-                den = poly_linear_mul(den, p)
-        den = poly_scale(den, scalar)
-        return cls(num, den, _dfac=(scalar, out_facs))
+        if not num:
+            scalar, out_facs = 1, {}
+        g = gcd(poly_content(num), scalar)
+        if g > 1:
+            num, scalar = poly_div_exact_int(num, g), scalar // g
+        self.num, self.scalar, self.factors = num, scalar, out_facs
+        self.den = _expand_product(scalar, out_facs)
 
-    # -- predicates
+    @classmethod
+    def _normal(cls, num, scalar, factors, den):
+        """Wrap fields already in normal form, skipping the reductions."""
+        out = cls.__new__(cls)
+        out.num, out.scalar, out.factors, out.den = num, scalar, factors, den
+        return out
+
+    @classmethod
+    def from_int(cls, k):
+        return cls(poly_const(k))
 
     def is_zero(self):
         return not self.num
-
-    def is_one(self):
-        return self.num == self.den
 
     # -- arithmetic
 
     def __add__(self, other):
         if isinstance(other, int):
             other = LambdaRat.from_int(other)
-        if self.is_zero():
+        if not self.num:
             return other
-        if other.is_zero():
+        if not other.num:
             return self
-        if self._dfac is not None and other._dfac is not None:
-            s1, f1 = self._dfac
-            s2, f2 = other._dfac
-            ls = s1 * s2 // gcd(s1, s2)
-            keys = sorted(set(f1) | set(f2))
-            lf = {p: max(f1.get(p, 0), f2.get(p, 0)) for p in keys}
-            n1 = poly_scale(self.num, ls // s1)
-            for p in keys:
-                for _ in range(lf[p] - f1.get(p, 0)):
-                    n1 = poly_linear_mul(n1, p)
-            n2 = poly_scale(other.num, ls // s2)
-            for p in keys:
-                for _ in range(lf[p] - f2.get(p, 0)):
-                    n2 = poly_linear_mul(n2, p)
-            return LambdaRat.from_factored(poly_add(n1, n2), ls, lf)
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        return LambdaRat(num, poly_mul(self.den, other.den))
+        s1, f1 = self.scalar, self.factors
+        s2, f2 = other.scalar, other.factors
+        ls = s1 * s2 // gcd(s1, s2)
+        keys = sorted(set(f1) | set(f2))
+        lf = {p: max(f1.get(p, 0), f2.get(p, 0)) for p in keys}
+        n1 = poly_scale(self.num, ls // s1)
+        for p in keys:
+            for _ in range(lf[p] - f1.get(p, 0)):
+                n1 = poly_linear_mul(n1, p)
+        n2 = poly_scale(other.num, ls // s2)
+        for p in keys:
+            for _ in range(lf[p] - f2.get(p, 0)):
+                n2 = poly_linear_mul(n2, p)
+        return LambdaRat(poly_add(n1, n2), ls, lf)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LambdaRat.__new__(LambdaRat)
-        out.num = poly_neg(self.num)
-        out.den = self.den
-        out._dfac = self._dfac
-        return out
+        return LambdaRat._normal(
+            poly_neg(self.num), self.scalar, self.factors, self.den
+        )
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LambdaRat.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if isinstance(other, Fraction):
-            return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return LambdaRat.from_int(0)
-        dfac = None
-        if self._dfac is not None and other._dfac is not None:
-            s1, f1 = self._dfac
-            s2, f2 = other._dfac
-            facs = dict(f1)
-            for p, e in f2.items():
-                facs[p] = facs.get(p, 0) + e
-            dfac = (s1 * s2, facs)
+        facs = dict(self.factors)
+        for p, e in other.factors.items():
+            facs[p] = facs.get(p, 0) + e
         return LambdaRat(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den), _dfac=dfac
+            poly_mul(self.num, other.num), self.scalar * other.scalar, facs
         )
 
     __rmul__ = __mul__
 
     def scale(self, k):
+        """Multiply by a rational constant; no factor can start dividing the
+        numerator, so only the integer content is reduced."""
         k = Fraction(k)
-        if k == 0 or self.is_zero():
+        if k == 0 or not self.num:
             return LambdaRat.from_int(0)
         num = poly_scale(self.num, k.numerator)
-        den = poly_scale(self.den, k.denominator)
-        dfac = None
-        if self._dfac is not None:
-            dfac = (self._dfac[0] * k.denominator, self._dfac[1])
-        return LambdaRat(num, den, _dfac=dfac)
+        scalar = self.scalar * k.denominator
+        g = gcd(poly_content(num), scalar)
+        if g > 1:
+            num, scalar = poly_div_exact_int(num, g), scalar // g
+        den = self.den
+        if scalar != self.scalar:
+            den = {m: c // self.scalar * scalar for m, c in den.items()}
+        return LambdaRat._normal(num, scalar, self.factors, den)
 
     def inv(self):
-        if self.is_zero():
+        """The inverse of a unit, a value with a constant numerator."""
+        if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")
-        return LambdaRat(self.den, self.num)
+        c = self.num.get((0, 0, 0))
+        if c is None or len(self.num) != 1:
+            raise DivisionNotUnit(f"{self.render()} is not a unit")
+        return LambdaRat(poly_scale(self.den, 1 if c > 0 else -1), abs(c))
 
     def __truediv__(self, other):
         if isinstance(other, int):
@@ -888,19 +841,15 @@ class LambdaRat:
             other = LambdaRat.from_int(other)
         if not isinstance(other, LambdaRat):
             return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
+        return (
+            self.num == other.num
+            and self.scalar == other.scalar
+            and self.factors == other.factors
+        )
 
     __hash__ = None
 
     # -- evaluation (used for hashing in the sign solver)
-
-    def evaluate(self, point):
-        den = poly_eval(self.den, point)
-        if den == 0:
-            return None
-        return poly_eval(self.num, point) / den
 
     def evaluate_mod(self, point, mod):
         den = poly_eval_mod(self.den, point, mod)
@@ -910,26 +859,14 @@ class LambdaRat:
         return num * pow(den, -1, mod) % mod
 
     def render(self):
-        if self.is_zero():
+        if not self.num:
             return "0"
-        if self.den == poly_one():
+        if self.scalar == 1 and not self.factors:
             return render_poly(self.num)
         return f"({render_poly(self.num)}) / ({render_poly(self.den)})"
 
     def __repr__(self):
         return f"LambdaRat({self.render()})"
-
-    def to_json(self):
-        return {
-            "num": [[list(m), c] for m, c in sorted(self.num.items())],
-            "den": [[list(m), c] for m, c in sorted(self.den.items())],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        num = {tuple(m): c for m, c in data["num"]}
-        den = {tuple(m): c for m, c in data["den"]}
-        return cls(num, den)
 
 
 def lambdarat_sum(terms):
@@ -1008,15 +945,17 @@ class FactoredWeightProduct:
         return FactoredWeightProduct(sign, self.scalar * Fraction(g) ** exp, factors)
 
     def expand(self):
-        """Expand to a LambdaRat (with the factored-denominator fast path)."""
+        """Expand to a LambdaRat: the positive factors into the numerator,
+        the negative ones into the denominator."""
         if self.is_zero():
             return LambdaRat.from_int(0)
-        num = poly_const(self.sign * self.scalar.numerator)
-        for f, e in sorted(self.factors.items()):
-            for _ in range(max(e, 0)):
-                num = poly_linear_mul(num, f)
-        negs = {f: -e for f, e in self.factors.items() if e < 0}
-        return LambdaRat.from_factored(num, self.scalar.denominator, negs)
+        pos = {f: e for f, e in self.factors.items() if e > 0}
+        neg = {f: -e for f, e in self.factors.items() if e < 0}
+        num = _expand_product(self.sign * self.scalar.numerator, pos)
+        den = _expand_product(self.scalar.denominator, neg)
+        # distinct primitive forms are coprime and the Fraction is reduced,
+        # so the quotient is already in normal form
+        return LambdaRat._normal(num, self.scalar.denominator, neg, den)
 
     def __eq__(self, other):
         return (

@@ -12,6 +12,7 @@ never by substituting into rational functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from .exactalg import (
     QSeries,
     binomial_laurent,
     poly_add,
-    poly_const,
     poly_from_form,
     poly_mul,
     poly_scale,
@@ -586,16 +586,12 @@ class InsertionClass:
     def point_class(cls, g, chart):
         """e_T(T_X|p) at one fixed point and 0 elsewhere (the class of a
         torus-fixed point)."""
-        vals = []
-        for alpha in range(g.nverts()):
-            if alpha == chart:
-                acc = FactoredWeightProduct.one()
-                for col in g.charts[alpha]:
-                    acc = acc.mul_form(weight_form(col), 1)
-                vals.append(acc.expand())
-            else:
-                vals.append(LambdaRat.from_int(0))
-        return cls(tuple(vals))
+        return cls(tuple(
+            chart_tangent_euler(g, alpha).expand()
+            if alpha == chart
+            else LambdaRat.from_int(0)
+            for alpha in range(g.nverts())
+        ))
 
 
 def _ch3(laurent):
@@ -609,7 +605,7 @@ def _ch3(laurent):
         p = poly_from_form(f)
         p3 = poly_mul(poly_mul(p, p), p)
         acc = poly_add(acc, poly_scale(p3, c))
-    return LambdaRat(acc, poly_const(6))
+    return LambdaRat(acc, 6)
 
 
 def chart_tangent_euler(g, alpha):
@@ -619,7 +615,7 @@ def chart_tangent_euler(g, alpha):
         if not any(f):
             raise ZeroTangentWeight(f"chart {alpha} has a T-fixed tangent direction")
         acc = acc.mul_form(f, 1)
-    return acc.expand()
+    return acc
 
 
 def _tau_from_characters(g, gamma, chart_chars):
@@ -636,7 +632,8 @@ def _tau_from_characters(g, gamma, chart_chars):
         ch3 = _ch3(a)
         if ch3.is_zero():
             continue
-        total = total + ch3 * gamma.per_chart[alpha] / chart_tangent_euler(g, alpha)
+        inv_euler = (chart_tangent_euler(g, alpha) ** -1).expand()
+        total = total + ch3 * gamma.per_chart[alpha] * inv_euler
     return total
 
 
@@ -833,8 +830,9 @@ def check_affine_implies_toric(g, beta, trunc, gammas=(), cache=None):
 # the local-curve stable-pair series
 
 
-def _lambda2():
-    return LambdaRat(poly_from_form((0, 1, 0)))
+def _factorial_l2_power(n):
+    """n! * l2^n, the denominator of P_{n,n} on the local curve."""
+    return FactoredWeightProduct(1, math.factorial(n), {(0, 1, 0): n})
 
 
 def local_curve_closed_form_ab():
@@ -861,9 +859,7 @@ def local_curve_full_check(d_max, trunc, nn_max=None, cache=None):
     compares the assembled two-variable curve-counting series against the
     closed exponential form."""
     g = preset_local_curve(0, -1, -1)
-    lam2 = _lambda2()
-    import math
-
+    lam2 = _factorial_l2_power(1).expand()
     if nn_max is None:
         nn_max = d_max
     rows = []
@@ -881,7 +877,7 @@ def local_curve_full_check(d_max, trunc, nn_max=None, cache=None):
                 _, val = fixed_point_value(g, fp, (), None, cache)
                 vals.append(val)
             if n == d:
-                target = LambdaRat.from_int(1) / (lam2**n * math.factorial(n))
+                target = (_factorial_l2_power(n) ** -1).expand()
                 exact = len(vals) == 1 and vals[0] == target
                 row_ok, kind, nsol = exact, "P_nn", 1 if exact else 0
             else:
@@ -925,12 +921,12 @@ def local_curve_full_check(d_max, trunc, nn_max=None, cache=None):
         if d in failed_d:
             continue
         for n in range(d, trunc):
-            val = (c_total ** (n - d) / math.factorial(n - d)) / (
-                lam2**d * math.factorial(d)
-            )
-            expect = ((a + b) ** (n - d) / (lam2**n * math.factorial(n))) * math.comb(
-                n, d
-            )
+            val = (c_total ** (n - d) / math.factorial(n - d)) * (
+                _factorial_l2_power(d) ** -1
+            ).expand()
+            expect = (
+                (a + b) ** (n - d) * (_factorial_l2_power(n) ** -1).expand()
+            ) * math.comb(n, d)
             if not (val == expect):
                 corollary_ok = False
     return {

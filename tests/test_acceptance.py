@@ -264,7 +264,7 @@ class TestCriterion6Oracles:
             if not any(f):
                 f = (1, 0, 0)
             terms.append(
-                LambdaRat(poly_from_form(f), poly_from_form((1, 1, 1))).scale(
+                LambdaRat(poly_from_form(f), 1, {(1, 1, 1): 1}).scale(
                     rng.randint(1, 4)
                 )
             )

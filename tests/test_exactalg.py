@@ -41,8 +41,19 @@ def random_lambdarat(rng, deg=2):
     num = {m: c for m, c in num.items() if c}
     if not num:
         num = {(0, 0, 0): 1}
-    den = poly_from_form((rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)))
-    return LambdaRat(num, den)
+    f = (rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2))
+    return LambdaRat(num) * inverse_form(f)
+
+
+def inverse_form(f):
+    """1/f for any nonzero integer linear form f."""
+    return FactoredWeightProduct.one().mul_form(f, -1).expand()
+
+
+def assert_same(x, y):
+    """Equal values in one normal form: equal, and rendered identically."""
+    assert x == y
+    assert x.render() == y.render()
 
 
 class TestBarInvolution:
@@ -161,24 +172,55 @@ class TestPolyDivLinear:
 
 
 class TestLambdaRat:
-    def test_equality_cross_multiplication(self):
-        # l1/l2 == 2l1 / 2l2 without reduction
-        a = LambdaRat(poly_from_form((1, 0, 0)), poly_from_form((0, 1, 0)))
-        b = LambdaRat(
-            poly_from_form((2, 0, 0)), poly_from_form((0, 2, 0))
-        )
+    def test_one_normal_form(self):
+        # l1/l2 == 2l1 / 2l2: the content cancels into the same fields
+        a = LambdaRat(poly_from_form((1, 0, 0)), 1, {(0, 1, 0): 1})
+        b = LambdaRat(poly_from_form((2, 0, 0))) * inverse_form((0, 2, 0))
         assert a == b
+        assert (a.num, a.scalar, a.factors) == (b.num, b.scalar, b.factors)
+        with pytest.raises(ValueError):
+            LambdaRat(poly_from_form((1, 0, 0)), -2, {(0, 1, 0): 1})
+
+    def test_cross_factors_cancel(self):
+        l1_over_l2 = LambdaRat(poly_from_form((1, 0, 0))) * inverse_form((0, 1, 0))
+        l2_over_l1 = LambdaRat(poly_from_form((0, 1, 0))) * inverse_form((1, 0, 0))
+        assert (l1_over_l2 * l2_over_l1).render() == "1"
+
+    def test_sum_reduces_content(self):
+        half = LambdaRat({(0, 0, 0): 1}, 2, {(0, 1, 0): 2})
+        assert (half + half).render() == "(1) / (l2^2)"
+
+    def test_equal_values_render_identically(self):
+        # (l1^2 + l1*l2) / (l1*l2) == (l1 + l2) / l2
+        a = LambdaRat({(2, 0, 0): 1, (1, 1, 0): 1}) * inverse_form((1, 0, 0))
+        a = a * inverse_form((0, 1, 0))
+        b = LambdaRat(poly_from_form((1, 1, 0))) * inverse_form((0, 1, 0))
+        assert_same(a, b)
+
+    def test_inv_of_non_unit_raises(self):
+        # (l1*l2 + l1 + l2) / l2
+        x = LambdaRat({(1, 1, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1})
+        x = x * inverse_form((0, 1, 0))
+        with pytest.raises(DivisionNotUnit):
+            x.inv()
+        unit = LambdaRat({(0, 0, 0): -3}, 2, {(0, 1, 0): 1})
+        assert_same(unit * unit.inv(), LambdaRat.from_int(1))
 
     def test_field_ops_random(self):
         rng = random.Random(13)
+        forms = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 1, 0)]
         for _ in range(30):
             a = random_lambdarat(rng)
             b = random_lambdarat(rng)
             c = random_lambdarat(rng)
-            assert (a + b) * c == a * c + b * c
-            assert a - a == LambdaRat.from_int(0)
-            if not b.is_zero():
-                assert (a / b) * b == a
+            w = FactoredWeightProduct(
+                rng.choice([1, -1]),
+                Fraction(rng.randint(1, 5), rng.randint(1, 5)),
+                {f: rng.randint(-2, 2) for f in rng.sample(forms, 2)},
+            )
+            assert_same((a + b) * c, a * c + b * c)
+            assert_same(a - a, LambdaRat.from_int(0))
+            assert_same((a * (w**-1).expand()) * w.expand(), a)
 
     def test_factored_expand_homomorphism(self):
         rng = random.Random(17)

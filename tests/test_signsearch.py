@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dt4vertex.exactalg import LambdaRat, poly_from_form, qexp
+from dt4vertex.exactalg import FactoredWeightProduct, LambdaRat, poly_from_form, qexp
 from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_pointlike
 from dt4vertex.ptconfig import TooManyLegs
 from dt4vertex.signsearch import (
@@ -53,7 +53,7 @@ class TestSolveSignedSum:
                 if not any(f):
                     f = (1, 0, 0)
                 terms.append(
-                    LambdaRat(poly_from_form(f), poly_from_form((1, 1, 1))).scale(
+                    LambdaRat(poly_from_form(f), 1, {(1, 1, 1): 1}).scale(
                         rng.randint(1, 3)
                     )
                 )
@@ -116,7 +116,8 @@ class TestNekrasov:
         # replace the order-1 Euler root by a wrong-factor perturbation (not
         # an overall sign): the solver must report failure
         val = dt_vertex_root(next(iter(enumerate_pointlike(1))))[1].expand()
-        wrong = val * rat((1, 1, 0)) / rat((1, 0, 0))
+        over_l1 = FactoredWeightProduct(1, 1, {(1, 0, 0): -1}).expand()
+        wrong = val * rat((1, 1, 0)) * over_l1
         target = qexp(nekrasov_rational(), 2).coefficient(1)
         assert solve_signed_sum([wrong], target) == []
 
