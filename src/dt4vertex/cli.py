@@ -233,7 +233,9 @@ def build_parser():
                    default="canonical")
     v.add_argument("--signs-file", default="")
     v.add_argument("--cache-dir", default="")
-    v.add_argument("--no-cache", action="store_true")
+    v.add_argument("--use-cache", action="store_true")
+    v.add_argument("--no-cache", action="store_true",
+                   help="do not use the cache, even with --use-cache")
     v.add_argument("--json", action="store_true")
     v.add_argument("--output", default="", help="also write the report to a file")
 
@@ -296,7 +298,7 @@ def _dispatch(args, out):
                 sign_policy=args.sign_policy,
                 signs_file=args.signs_file,
                 cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
+                use_cache=args.use_cache and not args.no_cache,
                 as_json=args.json,
             )
             if cfg.flavor == "pt":

@@ -15,7 +15,9 @@ Four layers, all exact (no floating point anywhere):
   product of linear forms.
 * ``QSeries`` -- truncated Laurent series in q with LambdaRat coefficients.
 
-Values are immutable after construction and safe to share across threads.
+Values do not change after construction, except that a LambdaRat multiplies
+out its denominator on first use and caches it.  Filling that cache is
+idempotent, so values stay safe to share across threads.
 """
 
 from __future__ import annotations
@@ -690,6 +692,32 @@ def _expand_product(c, factors):
     return out
 
 
+def _cancel_forms(num, factors, forms):
+    """Divide num by each form p of ``forms`` while exact, at most
+    factors[p] times, and lower factors[p] in place to the exponent left
+    over, deleting it at 0; returns the quotient."""
+    for p in forms:
+        e = factors[p]
+        while e and num:
+            q = poly_div_linear(num, p)
+            if q is None:
+                break
+            num, e = q, e - 1
+        if e:
+            factors[p] = e
+        else:
+            del factors[p]
+    return num
+
+
+def _drop_content(num, scalar):
+    """Cancel the integer content num and scalar share."""
+    g = gcd(poly_content(num), scalar)
+    if g > 1:
+        return poly_div_exact_int(num, g), scalar // g
+    return num, scalar
+
+
 class LambdaRat:
     """Exact rational function num / (scalar * prod p^e) in l1, l2, l3.
 
@@ -698,45 +726,45 @@ class LambdaRat:
     the shape of every equivariant Euler class.  In the normal form no ``p``
     divides ``num`` and gcd(content(num), scalar) = 1; zero is 0 / 1.  The
     form is unique, so equality compares fields and equal values render to
-    equal text.  ``den`` is the expanded denominator.  Division is by units
-    (``inv``) or, for any product of linear forms, by multiplying with
-    ``(FactoredWeightProduct ** -1).expand()``.
+    equal text.  ``den`` is the expanded denominator, multiplied out on
+    first read.  Division is by units (``inv``) or, for any product of
+    linear forms, by multiplying with ``(FactoredWeightProduct **
+    -1).expand()``.
     """
 
-    __slots__ = ("num", "scalar", "factors", "den")
+    __slots__ = ("num", "scalar", "factors", "_den")
 
     def __init__(self, num, scalar=1, factors=None):
         """``factors`` maps primitive positive-lead forms to positive
         exponents; the factors dividing ``num`` and the common integer
         content cancel."""
-        num = {tuple(m): c for m, c in num.items() if c}
         if scalar < 1:
             raise ValueError("scalar must be a positive int")
-        out_facs = {}
-        for p in sorted(factors or ()):
-            e = factors[p]
-            while e > 0 and num:
-                q = poly_div_linear(num, p)
-                if q is None:
-                    break
-                num = q
-                e -= 1
-            if e > 0:
-                out_facs[p] = e
+        out_facs = {p: factors[p] for p in sorted(factors or ()) if factors[p] > 0}
+        num = _cancel_forms(
+            {tuple(m): c for m, c in num.items() if c}, out_facs, list(out_facs)
+        )
         if not num:
             scalar, out_facs = 1, {}
-        g = gcd(poly_content(num), scalar)
-        if g > 1:
-            num, scalar = poly_div_exact_int(num, g), scalar // g
-        self.num, self.scalar, self.factors = num, scalar, out_facs
-        self.den = _expand_product(scalar, out_facs)
+        num, scalar = _drop_content(num, scalar)
+        self.num, self.scalar, self.factors, self._den = num, scalar, out_facs, None
 
     @classmethod
-    def _normal(cls, num, scalar, factors, den):
-        """Wrap fields already in normal form, skipping the reductions."""
+    def _normal(cls, num, scalar, factors, den=None):
+        """Wrap fields already in normal form, skipping the reductions;
+        ``den`` is the expanded denominator when the caller has it."""
         out = cls.__new__(cls)
-        out.num, out.scalar, out.factors, out.den = num, scalar, factors, den
+        out.num, out.scalar, out.factors, out._den = num, scalar, factors, den
         return out
+
+    @property
+    def den(self):
+        """The expanded denominator scalar * prod p^e, multiplied out on
+        first read and cached."""
+        den = self._den
+        if den is None:
+            den = self._den = _expand_product(self.scalar, self.factors)
+        return den
 
     @classmethod
     def from_int(cls, k):
@@ -748,6 +776,11 @@ class LambdaRat:
     # -- arithmetic
 
     def __add__(self, other):
+        """Henrici's addition over the least common denominator.  A form
+        whose exponent differs between the addends cannot divide the sum:
+        modulo that prime the sum is the lifted numerator of the addend
+        with the higher power, a product of factors prime to it.  So only
+        the forms with equal exponents are trial-divided."""
         if isinstance(other, int):
             other = LambdaRat.from_int(other)
         if not self.num:
@@ -756,24 +789,31 @@ class LambdaRat:
             return self
         s1, f1 = self.scalar, self.factors
         s2, f2 = other.scalar, other.factors
-        ls = s1 * s2 // gcd(s1, s2)
-        keys = sorted(set(f1) | set(f2))
-        lf = {p: max(f1.get(p, 0), f2.get(p, 0)) for p in keys}
-        n1 = poly_scale(self.num, ls // s1)
-        for p in keys:
-            for _ in range(lf[p] - f1.get(p, 0)):
+        g = gcd(s1, s2)
+        n1 = poly_scale(self.num, s2 // g)
+        n2 = poly_scale(other.num, s1 // g)
+        lf = {}
+        shared = []
+        for p in sorted(set(f1) | set(f2)):
+            e1, e2 = f1.get(p, 0), f2.get(p, 0)
+            for _ in range(e2 - e1):
                 n1 = poly_linear_mul(n1, p)
-        n2 = poly_scale(other.num, ls // s2)
-        for p in keys:
-            for _ in range(lf[p] - f2.get(p, 0)):
+            for _ in range(e1 - e2):
                 n2 = poly_linear_mul(n2, p)
-        return LambdaRat(poly_add(n1, n2), ls, lf)
+            lf[p] = max(e1, e2)
+            if e1 == e2:
+                shared.append(p)
+        num = _cancel_forms(poly_add(n1, n2), lf, shared)
+        if not num:
+            return LambdaRat.from_int(0)
+        num, scalar = _drop_content(num, s1 // g * s2)
+        return LambdaRat._normal(num, scalar, lf)
 
     __radd__ = __add__
 
     def __neg__(self):
         return LambdaRat._normal(
-            poly_neg(self.num), self.scalar, self.factors, self.den
+            poly_neg(self.num), self.scalar, self.factors, self._den
         )
 
     def __sub__(self, other):
@@ -800,13 +840,11 @@ class LambdaRat:
         k = Fraction(k)
         if k == 0 or not self.num:
             return LambdaRat.from_int(0)
-        num = poly_scale(self.num, k.numerator)
-        scalar = self.scalar * k.denominator
-        g = gcd(poly_content(num), scalar)
-        if g > 1:
-            num, scalar = poly_div_exact_int(num, g), scalar // g
-        den = self.den
-        if scalar != self.scalar:
+        num, scalar = _drop_content(
+            poly_scale(self.num, k.numerator), self.scalar * k.denominator
+        )
+        den = self._den
+        if den is not None and scalar != self.scalar:
             den = {m: c // self.scalar * scalar for m, c in den.items()}
         return LambdaRat._normal(num, scalar, self.factors, den)
 
@@ -870,11 +908,18 @@ class LambdaRat:
 
 
 def lambdarat_sum(terms):
-    """Deterministic left fold of a list of LambdaRats."""
-    total = LambdaRat.from_int(0)
-    for t in terms:
-        total = total + t
-    return total
+    """Sum of a list of LambdaRats as a balanced tree of pairwise sums:
+    neighbours are added level by level, so partial sums stay short and
+    the tree's shape depends only on the length of the list."""
+    terms = list(terms)
+    if not terms:
+        return LambdaRat.from_int(0)
+    while len(terms) > 1:
+        pairs = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        if len(terms) % 2:
+            pairs.append(terms[-1])
+        terms = pairs
+    return terms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -952,10 +997,9 @@ class FactoredWeightProduct:
         pos = {f: e for f, e in self.factors.items() if e > 0}
         neg = {f: -e for f, e in self.factors.items() if e < 0}
         num = _expand_product(self.sign * self.scalar.numerator, pos)
-        den = _expand_product(self.scalar.denominator, neg)
         # distinct primitive forms are coprime and the Fraction is reduced,
         # so the quotient is already in normal form
-        return LambdaRat._normal(num, self.scalar.denominator, neg, den)
+        return LambdaRat._normal(num, self.scalar.denominator, neg)
 
     def __eq__(self, other):
         return (

@@ -437,10 +437,11 @@ def check_dtpt(lam, mu, nu, rho, trunc, nekrasov_signs=None, subst=None, cache=N
 
     # coefficients of V^DT_empty with the Nekrasov signs
     e = EMPTY_PP
-    c = [LambdaRat.from_int(0) for _ in range(trunc)]
+    c_terms = [[] for _ in range(trunc)]
     for sp in enumerate_dt(e, e, e, e, trunc - 1):
         key, root = dt_vertex_root(sp, subst, cache)
-        c[sp.n_added()] = c[sp.n_added()] + root.expand().scale(nekrasov_signs[key])
+        c_terms[sp.n_added()].append(root.expand().scale(nekrasov_signs[key]))
+    c = [lambdarat_sum(terms) for terms in c_terms]
 
     cm = SolidPartition(legs)
     lowest = cm.renormalized_volume()

@@ -21,6 +21,7 @@ from .exactalg import (
     LambdaRat,
     QSeries,
     binomial_laurent,
+    lambdarat_sum,
     poly_add,
     poly_from_form,
     poly_mul,
@@ -706,7 +707,7 @@ def global_series_by_fixed_points(g, beta, flavor, gammas, trunc, signs=None, ca
     """The same series assembled fixed point by fixed point (cross-check of
     the factorized assembly); the sign of a fixed point is the product of
     its vertex and edge signs."""
-    coeffs = {}
+    by_chi = {}
     pts = sorted(
         enumerate_global_fixed_points(g, beta, trunc - 1, flavor),
         key=lambda fp: fp.key(),
@@ -715,8 +716,8 @@ def global_series_by_fixed_points(g, beta, flavor, gammas, trunc, signs=None, ca
         sgn, val = fixed_point_value(g, fp, gammas, signs, cache)
         if val.is_zero():
             continue
-        coeffs[fp.chi] = coeffs.get(fp.chi, LambdaRat.from_int(0)) + val.scale(sgn)
-    return QSeries(trunc, coeffs)
+        by_chi.setdefault(fp.chi, []).append(val.scale(sgn))
+    return QSeries(trunc, {chi: lambdarat_sum(v) for chi, v in by_chi.items()})
 
 
 def fixed_point_value(g, fp, gammas=(), signs=None, cache=None):

@@ -20,6 +20,7 @@ from .exactalg import (
     TChar,
     TLaurent,
     binomial_laurent,
+    lambdarat_sum,
     weight_form,
 )
 from .partitions import EdgeData, SolidPartition, enumerate_dt
@@ -402,18 +403,18 @@ def sign_of(signs, key):
 
 def _series_from_points(points, trunc, signs):
     """Deterministic aggregation of (key, order, root) contributions into a
-    QSeries: terms are summed in canonical key order per q-order."""
+    QSeries: per q-order, the terms in canonical key order go through
+    ``lambdarat_sum``."""
     by_order = {}
     for key, order, root in points:
         by_order.setdefault(order, []).append((key, root))
     coeffs = {}
     for order in sorted(by_order):
-        total = LambdaRat.from_int(0)
-        for key, root in sorted(by_order[order], key=lambda kr: kr[0]):
-            if root.is_zero():
-                continue
-            total = total + root.expand().scale(sign_of(signs, key))
-        coeffs[order] = total
+        coeffs[order] = lambdarat_sum(
+            root.expand().scale(sign_of(signs, key))
+            for key, root in sorted(by_order[order], key=lambda kr: kr[0])
+            if not root.is_zero()
+        )
     return QSeries(trunc, coeffs)
 
 

@@ -132,7 +132,7 @@ class TestCacheCommand:
 
         rc, _ = run(
             ["vertex", "--flavor", "dt", "--legs", "[[1]],[],[],[]",
-             "--order", "2", "--cache-dir", cdir]
+             "--order", "2", "--use-cache", "--cache-dir", cdir]
         )
         assert rc == 0
         rc, out = run(["cache", "stats", "--cache-dir", cdir])
@@ -148,10 +148,21 @@ class TestCacheCommand:
     def test_cold_warm_identical(self, tmp_path):
         cdir = str(tmp_path / "cache")
         args = ["vertex", "--flavor", "pt", "--legs", "[[1]],[[1]],[],[]",
-                "--order", "2", "--cache-dir", cdir]
+                "--order", "2", "--use-cache", "--cache-dir", cdir]
         _, cold = run(args)
         _, warm = run(args)
         assert cold == warm
+
+    def test_vertex_leaves_cache_alone_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DT4VERTEX_CACHE_DIR", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        args = ["vertex", "--flavor", "dt", "--legs", "[[1]],[],[],[]", "--order", "2"]
+        rc, plain = run(args)
+        assert rc == 0
+        assert not (tmp_path / "dt4vertex" / "vertices.jsonl").exists()
+        rc, cached = run(args + ["--use-cache"])
+        assert rc == 0 and cached == plain
+        assert (tmp_path / "dt4vertex" / "vertices.jsonl").exists()
 
     def test_cache_roundtrip_values(self, tmp_path):
         cache = VertexCache(str(tmp_path / "c"))
@@ -170,7 +181,7 @@ class TestCacheCommand:
     def test_torn_tail_is_repaired(self, tmp_path):
         cdir = str(tmp_path / "cache")
         args = ["vertex", "--flavor", "dt", "--legs", "[[1]],[],[],[]",
-                "--order", "3", "--cache-dir", cdir]
+                "--order", "3", "--use-cache", "--cache-dir", cdir]
         rc, cold = run(args)
         assert rc == 0
         path = tmp_path / "cache" / "vertices.jsonl"

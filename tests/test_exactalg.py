@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +16,11 @@ from dt4vertex.exactalg import (
     canonical_form,
     laurent_div_binomial,
     poly_div_linear,
+    lambdarat_sum,
+    poly_add,
     poly_from_form,
     poly_mul,
+    poly_scale,
     qexp,
     tchar_reduce,
     weight_form,
@@ -48,6 +52,15 @@ def random_lambdarat(rng, deg=2):
 def inverse_form(f):
     """1/f for any nonzero integer linear form f."""
     return FactoredWeightProduct.one().mul_form(f, -1).expand()
+
+
+def lift_to(x, scalar, factors):
+    """The numerator of x over the common denominator scalar * prod p^e."""
+    num = poly_scale(x.num, scalar // x.scalar)
+    for p, e in factors.items():
+        for _ in range(e - x.factors.get(p, 0)):
+            num = poly_mul(num, poly_from_form(p))
+    return num
 
 
 def assert_same(x, y):
@@ -205,6 +218,69 @@ class TestLambdaRat:
             x.inv()
         unit = LambdaRat({(0, 0, 0): -3}, 2, {(0, 1, 0): 1})
         assert_same(unit * unit.inv(), LambdaRat.from_int(1))
+
+    def test_sum_cancels_form_with_equal_exponents(self):
+        # 1/(l1*(l1+l2)) + 1/(l2*(l1+l2)) = 1/(l1*l2)
+        a = inverse_form((1, 0, 0)) * inverse_form((1, 1, 0))
+        b = inverse_form((0, 1, 0)) * inverse_form((1, 1, 0))
+        assert (a + b).render() == "(1) / (l1*l2)"
+
+    def test_sum_matches_reduced_common_denominator(self):
+        rng = random.Random(23)
+        forms = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 1, 0)]
+        for _ in range(60):
+            shared = rng.choice(forms)
+            a = random_lambdarat(rng) * inverse_form(shared) ** rng.randint(0, 2)
+            b = random_lambdarat(rng) * inverse_form(shared) ** rng.randint(0, 2)
+            b = b.scale(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+            scalar = a.scalar * b.scalar // math.gcd(a.scalar, b.scalar)
+            factors = dict(a.factors)
+            for p, e in b.factors.items():
+                factors[p] = max(e, factors.get(p, 0))
+            num = poly_add(lift_to(a, scalar, factors), lift_to(b, scalar, factors))
+            expect = LambdaRat(num, scalar, factors)
+            got = a + b
+            assert (got.num, got.scalar, got.factors) == (
+                expect.num, expect.scalar, expect.factors
+            )
+            assert_same(got, expect)
+            # b - a has every pole of a, and all those not in b cancel again
+            assert_same(a + (b - a), b)
+
+    def test_sum_is_left_fold(self):
+        rng = random.Random(29)
+        assert_same(lambdarat_sum([]), LambdaRat.from_int(0))
+        x = random_lambdarat(rng)
+        assert_same(lambdarat_sum([x]), x)
+        for n in range(2, 12):
+            terms = [random_lambdarat(rng) for _ in range(n)]
+            fold = LambdaRat.from_int(0)
+            for t in terms:
+                fold = fold + t
+            assert_same(lambdarat_sum(terms), fold)
+            assert_same(lambdarat_sum(iter(terms)), fold)
+
+    def test_den_on_demand(self):
+        # 1/(l1*(l1+l2)) + 1/(l2*(l1+l2)) against 1/(l1*l2) built directly
+        def summed():
+            a = inverse_form((1, 0, 0)) * inverse_form((1, 1, 0))
+            return a + inverse_form((0, 1, 0)) * inverse_form((1, 1, 0))
+
+        built = LambdaRat({(0, 0, 0): 1}, 1, {(1, 0, 0): 1, (0, 1, 0): 1})
+        assert summed().den == built.den == {(1, 1, 0): 1}
+        assert inverse_form((2, 2, 0)).den == {(1, 0, 0): 2, (0, 1, 0): 2}
+        assert summed().render() == built.render()
+        assert summed().evaluate_mod((2, 3, 5), 101) == built.evaluate_mod((2, 3, 5), 101)
+        assert_same(summed().inv(), built.inv())
+        assert summed().inv().render() == "l1*l2"
+        # scale a value whose denominator is not yet expanded, and one whose is
+        third = Fraction(1, 3)
+        expanded = summed()
+        assert expanded.den == built.den
+        for x in (summed(), expanded):
+            y = x.scale(third)
+            assert_same(y, built.scale(third))
+            assert y.den == built.scale(third).den == {(1, 1, 0): 3}
 
     def test_field_ops_random(self):
         rng = random.Random(13)

@@ -238,6 +238,12 @@ class TestVertexSeries:
         assert not s.coefficient(2).is_zero()
         assert not s.coefficient(3).is_zero()
 
+    def test_empty_vertex_mod_q7(self):
+        # the exact frontier: about 13 s on a 2-CPU machine
+        s7 = dt_vertex_series(E, E, E, E, 7)
+        assert s7.eq_mod(dt_vertex_series(E, E, E, E, 6))
+        assert not s7.coefficient(6).is_zero()
+
     def test_leading_orders(self):
         assert dt_vertex_series(BOX, E, E, E, 2).lowest_order == 0
         assert dt_vertex_series(BOX, BOX, E, E, 2).lowest_order == -1
