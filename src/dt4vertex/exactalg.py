@@ -654,14 +654,6 @@ def poly_div_linear(p, form):
     return out
 
 
-def poly_eval_mod(p, point, mod):
-    x, y, z = (a % mod for a in point)
-    total = 0
-    for (e1, e2, e3), c in p.items():
-        total = (total + c * pow(x, e1, mod) * pow(y, e2, mod) * pow(z, e3, mod)) % mod
-    return total
-
-
 def render_poly(p):
     if not p:
         return "0"
@@ -887,14 +879,12 @@ class LambdaRat:
 
     __hash__ = None
 
-    # -- evaluation (used for hashing in the sign solver)
+    # -- evaluation (the rows of the sign solver)
 
     def evaluate_mod(self, point, mod):
-        den = poly_eval_mod(self.den, point, mod)
-        if den == 0:
-            return None
-        num = poly_eval_mod(self.num, point, mod)
-        return num * pow(den, -1, mod) % mod
+        """The value at ``point`` modulo the prime ``mod``, or None where
+        the denominator vanishes there."""
+        return evaluate_all_mod([self], [point], mod)[0][0]
 
     def render(self):
         if not self.num:
@@ -905,6 +895,50 @@ class LambdaRat:
 
     def __repr__(self):
         return f"LambdaRat({self.render()})"
+
+
+def evaluate_all_mod(values, points, mod):
+    """The value of each LambdaRat of ``values`` at each of ``points``
+    modulo the prime ``mod``: one list per value, holding None where its
+    denominator vanishes.  The values of coordinate powers, monomials and
+    powers of linear forms at the points are computed once and shared by
+    all the values, and each denominator is evaluated from its factors, never
+    expanded."""
+    points = [tuple(a % mod for a in point) for point in points]
+    powers = {}
+    monomials = {}
+    forms = {}
+
+    def power(axis, e):
+        w = powers.get((axis, e))
+        if w is None:
+            w = powers[axis, e] = [pow(pt[axis], e, mod) for pt in points]
+        return w
+
+    out = []
+    for v in values:
+        dens = [v.scalar % mod] * len(points)
+        for p, e in v.factors.items():
+            w = forms.get((p, e))
+            if w is None:
+                w = forms[p, e] = [
+                    pow(p[0] * x + p[1] * y + p[2] * z, e, mod) for x, y, z in points
+                ]
+            dens = [d * f % mod for d, f in zip(dens, w)]
+        totals = [0] * len(points)
+        for m, c in v.num.items():
+            w = monomials.get(m)
+            if w is None:
+                xs, ys, zs = power(0, m[0]), power(1, m[1]), power(2, m[2])
+                w = monomials[m] = [
+                    px * py % mod * pz % mod for px, py, pz in zip(xs, ys, zs)
+                ]
+            totals = [t + c * u for t, u in zip(totals, w)]
+        out.append([
+            t % mod * pow(d, -1, mod) % mod if d else None
+            for t, d in zip(totals, dens)
+        ])
+    return out
 
 
 def lambdarat_sum(terms):

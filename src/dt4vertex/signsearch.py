@@ -1,35 +1,37 @@
 """Sign assignments and the signed-sum solver.
 
 Each q-order of a vertex identity is a constraint sum_i eps_i a_i = target
-with eps_i in {+1,-1} and a_i exact rational functions.  The solver uses
-meet-in-the-middle over modular evaluations of the terms as hash keys, then
-verifies every candidate with exact arithmetic, so the reported solution
-sets are both sound and complete.
+with eps_i in {+1,-1} and a_i exact rational functions.  The solver writes
+eps_i = 1 - 2 x_i, evaluates the terms and the target at a fixed sequence
+of points modulo the prime 2^61 - 1 and row-reduces the resulting linear system in
+the x_i.  Every true solution satisfies every evaluated row, so the 0/1
+solutions of the system, found by enumerating its kernel, include all of
+them; each of these candidates is then verified with exact arithmetic.  The
+reported solution sets are therefore both sound and complete.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import FactoredWeightProduct, LambdaRat, lambdarat_sum, qexp
+from .exactalg import (
+    FactoredWeightProduct,
+    LambdaRat,
+    evaluate_all_mod,
+    lambdarat_sum,
+    qexp,
+)
 from .partitions import EMPTY_PP, SolidPartition, enumerate_dt
 from .ptconfig import LegModule, enumerate_boxconfigs
 from .vertexcalc import dt_vertex_root, pt_vertex_root, subst_key
 
 MAX_UNKNOWNS = 40
 
-# Deterministic (point, prime) evaluation configurations; the first two with
-# all denominators invertible are used for hashing.
-_EVAL_CONFIGS = (
-    ((9973, 7919, 6997), 2305843009213693951),
-    ((104729, 99991, 95231), 1000000000000000009),
-    ((224737, 350377, 499979), 2305843009213693951),
-    ((15485863, 32452843, 49979687), 1000000000000000009),
-    ((86028121, 122949823, 141650939), 2305843009213693951),
-    ((179424673, 198491317, 217645177), 1000000000000000009),
-)
+# the prime 2^61 - 1 of the solver's modular rows
+_PRIME = (1 << 61) - 1
 
 
 class MissingSign(KeyError):
@@ -101,109 +103,142 @@ class SignAssignment:
 # the signed-sum solver
 
 
-def _usable_configs(values, extra):
-    configs = []
-    for point, prime in _EVAL_CONFIGS:
-        ok = True
-        for v in values + extra:
-            if v.evaluate_mod(point, prime) is None:
-                ok = False
-                break
-        if ok:
-            configs.append((point, prime))
-        if len(configs) == 2:
-            return configs
-    raise RuntimeError("no usable evaluation points for signed-sum hashing")
+def _evaluation_points():
+    """The fixed sequence of points (l1, l2, l3) mod _PRIME that rows are
+    evaluated at: coordinates from the SplitMix64 generator with seed 0, so
+    the points are generic and depend on neither the hash seed nor the
+    Python version."""
+    mask = (1 << 64) - 1
+    state = 0
+    while True:
+        point = []
+        for _ in range(3):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+            point.append((z ^ (z >> 31)) % _PRIME)
+        yield tuple(point)
 
 
-def _half_sums(residues, primes):
-    """All signed sums of a list of residue pairs, as a map
-    (r1, r2) -> list of bitmasks (a set bit means sign -1)."""
-    table = {(0, 0): [0]}
-    for i, (r1, r2) in enumerate(residues):
-        bit = 1 << i
-        new = {}
-        for (s1, s2), masks in table.items():
-            kp = ((s1 + r1) % primes[0], (s2 + r2) % primes[1])
-            bucket = new.get(kp)
-            if bucket is None:
-                new[kp] = list(masks)
-            else:
-                bucket.extend(masks)
-            km = ((s1 - r1) % primes[0], (s2 - r2) % primes[1])
-            bucket = new.get(km)
-            if bucket is None:
-                new[km] = [m | bit for m in masks]
-            else:
-                bucket.extend(m | bit for m in masks)
-        table = new
-    return table
-
-
-def solve_signed_sum(terms, target, _reuse=None):
-    """All sign vectors eps with sum eps_i * terms_i = target, by
-    meet-in-the-middle on modular evaluations with exact verification of
-    every candidate.  Terms must be nonzero."""
+def _solver_state(terms):
+    """The rows shared by every solve over one term list: k + 2 points
+    where every term is defined, each with the terms' values there.  Checks
+    the unknown bound first, so an oversized order builds nothing."""
     k = len(terms)
+    if k > MAX_UNKNOWNS:
+        raise RuntimeError(f"{k} unknowns exceeds the solver bound {MAX_UNKNOWNS}")
     for t in terms:
         if t.is_zero():
             raise ValueError("zero terms must be factored out before solving")
+    # a point is unusable where it zeroes a form of some term, which a
+    # generic point almost never does; a second batch replaces the points
+    # the first one loses.  Fewer rows would only widen the kernel.
+    source = _evaluation_points()
+    points, rows = [], []
+    for _ in range(2):
+        batch = list(itertools.islice(source, k + 2 - len(points)))
+        for point, *row in zip(batch, *evaluate_all_mod(terms, batch, _PRIME)):
+            if None not in row:
+                points.append(point)
+                rows.append(row)
+    return points, rows
+
+
+def _row_reduce(system, k):
+    """Gauss-Jordan elimination mod _PRIME of augmented rows with k
+    unknowns: (pivot columns, reduced rows with a 1 at their pivot), or
+    None when the system is inconsistent."""
+    rows = [list(r) for r in system]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        # the entries of rows[r] left of col are 0, so each update starts at col
+        inv = pow(rows[r][col], -1, _PRIME)
+        tail = [v * inv % _PRIME for v in rows[r][col:]]
+        rows[r][col:] = tail
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                row[col:] = [(a - f * b) % _PRIME for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
+    return pivots, rows[:len(pivots)]
+
+
+def _binary_solutions(pivots, rows, k):
+    """Every 0/1 vector x satisfying the reduced rows: a Gray-code walk
+    over the free variables that keeps the pivot values up to date."""
+    pivot_set = set(pivots)
+    free = [c for c in range(k) if c not in pivot_set]
+    if len(free) > MAX_UNKNOWNS // 2:
+        raise RuntimeError(
+            f"kernel dimension {len(free)} exceeds the solver bound {MAX_UNKNOWNS // 2}"
+        )
+    # pivot value = rhs - sum over free c of row[c] * x_c
+    vals = [row[k] for row in rows]
+    columns = [[(r, row[c]) for r, row in enumerate(rows) if row[c]] for c in free]
+    x = [0] * k
+    for step in range(1 << len(free)):
+        if step:
+            j = (step & -step).bit_length() - 1
+            c = free[j]
+            sign = 1 if x[c] else -1
+            x[c] ^= 1
+            for r, coef in columns[j]:
+                vals[r] = (vals[r] + sign * coef) % _PRIME
+        if all(v in (0, 1) for v in vals):
+            for col, v in zip(pivots, vals):
+                x[col] = v
+            yield tuple(x)
+
+
+def solve_signed_sum(terms, target, _reuse=None):
+    """All sign vectors eps with sum eps_i * terms_i = target.  Terms must
+    be nonzero.
+
+    With eps_i = 1 - 2 x_i the equation reads sum x_i terms_i = (sum
+    terms_i - target) / 2 over x in {0, 1}^k.  Evaluated at the points of
+    ``_solver_state`` where the target is defined, that is a linear system
+    over F_p; its 0/1 solutions are enumerated over the kernel and each
+    one is verified with exact arithmetic.  The answer is complete, since
+    every true solution satisfies every evaluated row, and sound, since
+    every candidate is checked exactly.  ``_reuse`` is the state of
+    ``_solver_state(terms)``, shared by several targets.
+    """
+    k = len(terms)
     if k == 0:
         return [()] if target.is_zero() else []
-    if k > MAX_UNKNOWNS:
-        raise RuntimeError(f"{k} unknowns exceeds the solver bound {MAX_UNKNOWNS}")
-
-    if _reuse is None:
-        _reuse = _solver_state(terms)
-    configs, table_a, table_b, half = _reuse
-    primes = (configs[0][1], configs[1][1])
-    t1 = target.evaluate_mod(configs[0][0], primes[0])
-    t2 = target.evaluate_mod(configs[1][0], primes[1])
-    if t1 is None or t2 is None:
-        # target not evaluable at the chosen points: fall back to exhaustion
-        return _exhaustive_signed_sum(terms, target)
-
+    points, rows = _solver_state(terms) if _reuse is None else _reuse
+    half = pow(2, -1, _PRIME)
+    system = [
+        row + [(sum(row) - t) * half % _PRIME]
+        for row, t in zip(rows, evaluate_all_mod([target], points, _PRIME)[0])
+        if t is not None
+    ]
+    reduced = _row_reduce(system, k)
+    if reduced is None:
+        return []
     solutions = []
-    for (s1, s2), masks_b in table_b.items():
-        want = ((t1 - s1) % primes[0], (t2 - s2) % primes[1])
-        masks_a = table_a.get(want)
-        if not masks_a:
-            continue
-        for ma in masks_a:
-            for mb in masks_b:
-                mask = ma | (mb << half)
-                eps = tuple(-1 if mask >> i & 1 else 1 for i in range(k))
-                total = lambdarat_sum(
-                    [terms[i].scale(eps[i]) for i in range(k)]
-                )
-                if total == target:
-                    solutions.append(eps)
+    for x in _binary_solutions(*reduced, k):
+        eps = tuple(1 - 2 * b for b in x)
+        total = lambdarat_sum([terms[i].scale(eps[i]) for i in range(k)])
+        if total == target:
+            solutions.append(eps)
     solutions.sort()
     return solutions
 
 
-def _solver_state(terms):
-    """Precomputed half-tables for solving several targets over one term list."""
-    configs = _usable_configs(list(terms), [])
-    primes = (configs[0][1], configs[1][1])
-    res = [
-        (
-            t.evaluate_mod(configs[0][0], primes[0]),
-            t.evaluate_mod(configs[1][0], primes[1]),
-        )
-        for t in terms
-    ]
-    half = (len(terms) + 1) // 2
-    table_a = _half_sums(res[:half], primes)
-    table_b = _half_sums(res[half:], primes)
-    return configs, table_a, table_b, half
-
-
-def _exhaustive_signed_sum(terms, target):
-    """Gray-code walk over all 2^k assignments with one exact update each."""
+def naive_signed_sum(terms, target):
+    """Gray-code walk over all 2^k sign vectors with one exact update
+    each; the test oracle for ``solve_signed_sum``."""
     k = len(terms)
     if k > 22:
-        raise RuntimeError("exhaustive fallback too large")
+        raise RuntimeError("naive exhaustion is limited to 22 terms")
     eps = [1] * k
     total = lambdarat_sum(terms)
     out = []
@@ -217,12 +252,6 @@ def _exhaustive_signed_sum(terms, target):
             out.append(tuple(eps))
     out.sort()
     return out
-
-
-def naive_signed_sum(terms, target):
-    """Plain 2^k exhaustion with exact arithmetic; the oracle for the
-    meet-in-the-middle solver."""
-    return _exhaustive_signed_sum(terms, target)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +546,11 @@ def check_dtpt(lam, mu, nu, rho, trunc, nekrasov_signs=None, subst=None, cache=N
             ok = False
             break
 
-    solution_sets = [frozenset(signs.items()) for signs, _ in branches]
-    negations = [
-        frozenset((k, -v) for k, v in signs.items()) for signs, _ in branches
-    ]
-    closed = bool(solution_sets) and all(neg in set(solution_sets) for neg in negations)
+    solution_sets = {frozenset(signs.items()) for signs, _ in branches}
+    closed = bool(solution_sets) and all(
+        frozenset((k, -v) for k, v in signs.items()) in solution_sets
+        for signs, _ in branches
+    )
     witness_signs = None
     if ok and branches:
         witness_signs = SignAssignment(dict(sorted(branches[0][0].items())))

@@ -14,6 +14,7 @@ from dt4vertex.exactalg import (
     bar_involution,
     binomial_laurent,
     canonical_form,
+    evaluate_all_mod,
     laurent_div_binomial,
     poly_div_linear,
     lambdarat_sum,
@@ -281,6 +282,39 @@ class TestLambdaRat:
             y = x.scale(third)
             assert_same(y, built.scale(third))
             assert y.den == built.scale(third).den == {(1, 1, 0): 3}
+
+    def test_evaluate_mod_from_factors(self):
+        # the value is num(pt) / den(pt) of the expanded polynomials, found
+        # without expanding den, and None where a form vanishes mod p
+        def poly_at(p, point, mod):
+            x, y, z = point
+            return sum(c * x**a * y**b * z**e for (a, b, e), c in p.items()) % mod
+
+        rng = random.Random(29)
+        mod = (1 << 61) - 1
+        for _ in range(20):
+            v = random_lambdarat(rng) + random_lambdarat(rng)
+            v = v.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            point = tuple(rng.randrange(mod) for _ in range(3))
+            got = v.evaluate_mod(point, mod)
+            assert v._den is None
+            want = poly_at(v.num, point, mod) * pow(poly_at(v.den, point, mod), -1, mod)
+            assert got == want % mod
+        v = random_lambdarat(rng) * inverse_form((1, 1, 0))
+        assert v.evaluate_mod((3, mod - 3, 5), mod) is None
+        assert v.evaluate_mod((3, 2 * mod - 3, 5), mod) is None
+        assert v._den is None
+
+    def test_evaluate_all_mod_matches_one_by_one(self):
+        rng = random.Random(31)
+        values = [random_lambdarat(rng) for _ in range(12)] + [LambdaRat.from_int(0)]
+        values.append(inverse_form((1, 0, 0)))
+        points = [(2, 3, 5), (0, 7, 11), (101 * 4, 1, 1)]
+        assert evaluate_all_mod(values, points, 101) == [
+            [v.evaluate_mod(point, 101) for point in points] for v in values
+        ]
+        assert evaluate_all_mod(values, points, 101)[-1][1] is None
+        assert evaluate_all_mod(values, [], 101) == [[] for _ in values]
 
     def test_field_ops_random(self):
         rng = random.Random(13)

@@ -1,8 +1,18 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
-from dt4vertex.exactalg import FactoredWeightProduct, LambdaRat, poly_from_form, qexp
+from dt4vertex import signsearch
+from dt4vertex.exactalg import (
+    FactoredWeightProduct,
+    LambdaRat,
+    evaluate_all_mod,
+    lambdarat_sum,
+    poly_from_form,
+    qexp,
+)
 from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_pointlike
 from dt4vertex.ptconfig import TooManyLegs
 from dt4vertex.signsearch import (
@@ -22,6 +32,34 @@ E = EMPTY_PP
 
 def rat(f):
     return LambdaRat(poly_from_form(f))
+
+
+def inverse_form(f):
+    return FactoredWeightProduct.one().mul_form(f, -1).expand()
+
+
+def random_term(rng):
+    """A random nonzero linear form over l1 + l2 + l3, times 1..3."""
+    f = tuple(rng.randint(-2, 2) for _ in range(3))
+    if not any(f):
+        f = (1, 0, 0)
+    return LambdaRat(poly_from_form(f), 1, {(1, 1, 1): 1}).scale(rng.randint(1, 3))
+
+
+def rich_term(rng):
+    """Three random monomials of degree <= 3 in each variable, over
+    (l1 + l2 + l3) times a random form; unlike ``random_term`` these span
+    far more than three dimensions."""
+    num = {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(1, 5)
+           for _ in range(3)}
+    f = (rng.randint(1, 3), rng.randint(-2, 2), rng.randint(0, 2))
+    return LambdaRat(num, 1, {(1, 1, 1): 1}) * inverse_form(f)
+
+
+def planted(rng, terms):
+    """A random sign vector and the signed sum it gives."""
+    eps = tuple(rng.choice([1, -1]) for _ in terms)
+    return eps, lambdarat_sum([t.scale(s) for s, t in zip(eps, terms)])
 
 
 class TestSolveSignedSum:
@@ -47,24 +85,102 @@ class TestSolveSignedSum:
         rng = random.Random(37)
         for _ in range(12):
             k = rng.randint(1, 10)
-            terms = []
-            for _ in range(k):
-                f = tuple(rng.randint(-2, 2) for _ in range(3))
-                if not any(f):
-                    f = (1, 0, 0)
-                terms.append(
-                    LambdaRat(poly_from_form(f), 1, {(1, 1, 1): 1}).scale(
-                        rng.randint(1, 3)
-                    )
-                )
-            eps = [rng.choice([1, -1]) for _ in range(k)]
-            target = LambdaRat.from_int(0)
-            for s, t in zip(eps, terms):
-                target = target + t.scale(s)
+            terms = [random_term(rng) for _ in range(k)]
+            eps, target = planted(rng, terms)
             fast = solve_signed_sum(terms, target)
             slow = naive_signed_sum(terms, target)
             assert fast == slow
-            assert tuple(eps) in fast
+            assert eps in fast
+        # terms drawn from a span of dimension r <= k: the system is short
+        # of full rank and the solver enumerates its kernel
+        for _ in range(16):
+            k = rng.randint(2, 9)
+            r = rng.randint(1, k)
+            basis = [rich_term(rng) for _ in range(r)]
+            terms = []
+            while len(terms) < k:
+                t = lambdarat_sum([b.scale(rng.randint(-2, 2)) for b in basis])
+                if not t.is_zero():
+                    terms.append(t)
+            eps, target = planted(rng, terms)
+            fast = solve_signed_sum(terms, target)
+            assert fast == naive_signed_sum(terms, target)
+            assert eps in fast
+            miss = target + basis[0]
+            assert solve_signed_sum(terms, miss) == naive_signed_sum(terms, miss)
+
+    def test_duplicate_and_proportional_terms(self):
+        a, b = rat((1, 2, 0)), rat((0, 1, 3))
+        cases = [
+            [a, a, a, b],
+            [a, a.scale(2), a.scale(Fraction(-1, 3)), b, b.scale(3)],
+            [a, b, a + b, a - b, (a + b).scale(2)],
+        ]
+        for terms in cases:
+            for target in (
+                LambdaRat.from_int(0), a, a + b, a.scale(3), a.scale(2) - b
+            ):
+                assert solve_signed_sum(terms, target) == naive_signed_sum(
+                    terms, target
+                )
+        # a + a - a + b is one of several solutions
+        assert len(solve_signed_sum(cases[0], a + b)) == 3
+
+    def test_kernel_dimension_bound(self):
+        # 40 copies of one term: rank 1, so 39 free signs; the solver must
+        # refuse before any 2^39 walk
+        a = rat((1, 1, 2))
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="kernel dimension 39 exceeds"):
+            solve_signed_sum([a] * 40, a.scale(4))
+        assert time.perf_counter() - start < 10
+
+    def test_unknown_bound(self, monkeypatch):
+        a = rat((1, 1, 2))
+        with pytest.raises(
+            RuntimeError, match="^41 unknowns exceeds the solver bound 40$"
+        ):
+            solve_signed_sum([a] * 41, a)
+
+        # the bound is checked before any evaluation
+        def no_evaluation(*args):
+            raise AssertionError("evaluated an order beyond the bound")
+
+        monkeypatch.setattr(signsearch, "evaluate_all_mod", no_evaluation)
+        with pytest.raises(RuntimeError, match="41 unknowns exceeds"):
+            signsearch._solver_state([a] * 41)
+
+    def test_points_where_target_is_undefined(self, monkeypatch):
+        # 24 unknowns, beyond what any 2^k exhaustion could take
+        rng = random.Random(43)
+        terms = [rich_term(rng) for _ in range(24)]
+        eps, target = planted(rng, terms)
+        pole = (1, 2, 3)
+        off_pole = target + inverse_form(pole)
+        mod = signsearch._PRIME
+        # first a point that zeroes the factor l1 + l2 + l3 of the target
+        # (and of every term), then two where only off_pole's pole vanishes
+        third = pow(3, -1, mod)
+
+        def on_pole(a, b):
+            return (a, b, -(a + 2 * b) * third % mod)
+
+        bad = [(1009, 2713, mod - 1009 - 2713), on_pole(7919, 104729), on_pole(31, 8191)]
+        assert target.evaluate_mod(bad[0], mod) is None
+        assert all(off_pole.evaluate_mod(p, mod) is None for p in bad[1:])
+        assert all(None not in col for col in evaluate_all_mod(terms, bad[1:], mod))
+        original = signsearch._evaluation_points
+
+        def points():
+            yield from bad
+            yield from original()
+
+        monkeypatch.setattr(signsearch, "_evaluation_points", points)
+        points_used, rows = signsearch._solver_state(terms)
+        assert bad[0] not in points_used and points_used[:2] == bad[1:]
+        assert len(rows) == 26
+        assert solve_signed_sum(terms, target) == [eps]
+        assert solve_signed_sum(terms, off_pole) == []
 
     def test_nekrasov_order_two_unique(self):
         target = qexp(nekrasov_rational(), 3).coefficient(2)
@@ -147,6 +263,16 @@ class TestDTPT:
     def test_size_two_single_leg(self):
         rep = check_dtpt(PlanePartition([[1, 1]]), E, E, E, 3)
         assert rep.ok
+
+    def test_order_beyond_bound_raises_at_once(self):
+        # order 5 of one box reaches 67 unknowns; the bound must stop it
+        # before any per-order solver state is built
+        start = time.perf_counter()
+        with pytest.raises(
+            RuntimeError, match="^67 unknowns exceeds the solver bound 40$"
+        ):
+            check_dtpt(BOX, E, E, E, 5)
+        assert time.perf_counter() - start < 60
 
     def test_three_legs_rejected(self):
         with pytest.raises(TooManyLegs):
