@@ -1,17 +1,17 @@
 """Content-addressed vertex cache.
 
-One JSON record per vertex keyed by the canonical fixed-point key (legs,
-added boxes or box configuration, substitution): the TLaurent rendering of
-V and the factored rendering of its Euler root, behind a versioned header.
-The file lives at <dir>/vertices.jsonl; DT4VERTEX_CACHE_DIR overrides the
-default directory.
+One JSON record per fixed point, in standard coordinates, keyed by the
+canonical fixed-point key (legs and added boxes, box configuration, or edge
+and normal degrees): the TLaurent rendering of V and the factored rendering
+of its Euler root, behind a versioned header.  A chart's root is relabelled
+from that record, so the key holds no substitution.  The file lives at
+<dir>/vertices.jsonl; DT4VERTEX_CACHE_DIR overrides the default directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 
 FORMAT = "dt4vertex-cache"
 VERSION = 1
@@ -27,8 +27,7 @@ def default_cache_dir():
 
 
 class VertexCache:
-    """In-memory vertex store persisted as JSONL; get/put are thread-safe
-    with single-writer appends.
+    """In-memory vertex store persisted as JSONL, one append per new record.
 
     An append that was cut short leaves a last line without its newline.
     Loading skips that line, and the next append cuts it away first; any
@@ -37,7 +36,6 @@ class VertexCache:
 
     def __init__(self, directory=None):
         self.directory = directory if directory is not None else default_cache_dir()
-        self._lock = threading.Lock()
         self._data = {}
         self._torn_at = None  # byte offset of a torn last line, if any
         self.hits = 0
@@ -79,37 +77,32 @@ class VertexCache:
             fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
 
     def get(self, key):
-        with self._lock:
-            rec = self._data.get(key)
-            if rec is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return rec
+        rec = self._data.get(key)
+        if rec is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return rec
 
     def put(self, key, record):
-        with self._lock:
-            if key in self._data:
-                return
-            self._data[key] = record
-            self._append(record)
+        if key in self._data:
+            return
+        self._data[key] = record
+        self._append(record)
 
     def keys(self):
-        with self._lock:
-            return sorted(self._data)
+        return sorted(self._data)
 
     def __len__(self):
         return len(self._data)
 
     def stats(self):
-        with self._lock:
-            return {"directory": self.directory, "entries": len(self._data)}
+        return {"directory": self.directory, "entries": len(self._data)}
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self._torn_at = None
-            if os.path.exists(self.path):
-                os.remove(self.path)
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
+        self._torn_at = None
+        if os.path.exists(self.path):
+            os.remove(self.path)

@@ -16,8 +16,7 @@ Four layers, all exact (no floating point anywhere):
 * ``QSeries`` -- truncated Laurent series in q with LambdaRat coefficients.
 
 Values do not change after construction, except that a LambdaRat multiplies
-out its denominator on first use and caches it.  Filling that cache is
-idempotent, so values stay safe to share across threads.
+out its denominator on first use and caches it.
 """
 
 from __future__ import annotations
@@ -34,45 +33,8 @@ ONE4 = (1, 1, 1, 1)
 # ---------------------------------------------------------------------------
 # dict kernels: Laurent polynomials in t1..t4 map 4-tuples of exponents to
 # nonzero integers, polynomials in l1..l3 map 3-tuples; no kernel mutates
-# its inputs.
-
-
-def laurent_add(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def laurent_sub(a, b):
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w, 0) - c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def laurent_neg(a):
-    return {w: -c for w, c in a.items()}
-
-
-def laurent_scale(a, k):
-    if k == 0:
-        return {}
-    if k == 1:
-        return dict(a)
-    return {w: c * k for w, c in a.items()}
+# its inputs.  The additive kernels ``poly_add``, ``poly_sub``, ``poly_neg``
+# and ``poly_scale`` never look inside a key and serve both.
 
 
 def laurent_mul(a, b):
@@ -289,17 +251,17 @@ class TLaurent:
         return sorted(self.terms.items())
 
     def __add__(self, other):
-        return TLaurent(laurent_add(self.terms, other.terms))
+        return TLaurent(poly_add(self.terms, other.terms))
 
     def __sub__(self, other):
-        return TLaurent(laurent_sub(self.terms, other.terms))
+        return TLaurent(poly_sub(self.terms, other.terms))
 
     def __neg__(self):
-        return TLaurent(laurent_neg(self.terms))
+        return TLaurent(poly_neg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TLaurent(laurent_scale(self.terms, other))
+            return TLaurent(poly_scale(self.terms, other))
         return TLaurent(laurent_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -315,9 +277,6 @@ class TLaurent:
     def subst(self, cols):
         """Substitute t_i -> t^{cols[i]} for four weight vectors cols."""
         return TLaurent(laurent_subst(self.terms, tuple(map(tuple, cols))))
-
-    def eval_at_one(self):
-        return sum(self.terms.values())
 
     def min_total_degree(self):
         return min((sum(w) for w in self.terms), default=0)
@@ -439,13 +398,6 @@ class TChar:
             if not any(d):
                 raise ValueError("denominator weight must be nonzero")
         self.den = den
-
-    @classmethod
-    def from_laurent(cls, p):
-        return cls(p, ())
-
-    def is_polynomial(self):
-        return not self.den
 
     def to_laurent(self):
         reduced = self.reduce()
@@ -1022,6 +974,27 @@ class FactoredWeightProduct:
             del factors[p]
         sign = self.sign * (s ** (exp % 2))
         return FactoredWeightProduct(sign, self.scalar * Fraction(g) ** exp, factors)
+
+    def substitute(self, forms):
+        """The value under the linear substitution (l1, l2, l3) ->
+        (forms[0], forms[1], forms[2]); a fourth form, the image of l4, is
+        not read.  Each factor p^e becomes (p1*forms[0] + p2*forms[1] +
+        p3*forms[2])^e, with its sign and content moved out."""
+        (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = forms[:3]
+        sign, scalar, factors = self.sign, self.scalar, {}
+        for (p1, p2, p3), e in self.factors.items():
+            image = (p1 * a1 + p2 * a2 + p3 * a3,
+                     p1 * b1 + p2 * b2 + p3 * b3,
+                     p1 * c1 + p2 * c2 + p3 * c3)
+            if not any(image):
+                raise ValueError(f"substitution maps the factor {(p1, p2, p3)} to 0")
+            s, g, q = canonical_form(image)
+            if s < 0 and e % 2:
+                sign = -sign
+            if g > 1:
+                scalar *= Fraction(g) ** e
+            factors[q] = factors.get(q, 0) + e
+        return FactoredWeightProduct(sign, scalar, factors)
 
     def expand(self):
         """Expand to a LambdaRat: the positive factors into the numerator,

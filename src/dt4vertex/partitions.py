@@ -196,12 +196,6 @@ class SolidPartition:
 
     # -- shape data
 
-    def is_cm(self):
-        return not self.added
-
-    def cm_part(self):
-        return self if not self.added else SolidPartition(self.legs)
-
     def n_added(self):
         return len(self.added)
 
@@ -235,18 +229,6 @@ class SolidPartition:
         for _, k in self.multi_leg_boxes():
             total += 1 - k
         return total
-
-    def dense_view(self, bounds):
-        """Truncated box set inside the given componentwise bounds."""
-        A, B, C, D = bounds
-        return {
-            (a, b, c, d)
-            for a in range(A)
-            for b in range(B)
-            for c in range(C)
-            for d in range(D)
-            if self.contains((a, b, c, d))
-        }
 
     def validate(self):
         """Monotonicity of the implied array plus leg/CM discipline of the

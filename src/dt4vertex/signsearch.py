@@ -26,9 +26,11 @@ from .exactalg import (
 )
 from .partitions import EMPTY_PP, SolidPartition, enumerate_dt
 from .ptconfig import LegModule, enumerate_boxconfigs
-from .vertexcalc import dt_vertex_root, pt_vertex_root, subst_key
+from .vertexcalc import dt_vertex_root, pt_vertex_root, subst_key, substitution_forms
 
 MAX_UNKNOWNS = 40
+# the free variables of a reduced system are walked exhaustively: 2^20 steps
+MAX_KERNEL_DIM = 20
 
 # the prime 2^61 - 1 of the solver's modular rows
 _PRIME = (1 << 61) - 1
@@ -175,9 +177,9 @@ def _binary_solutions(pivots, rows, k):
     over the free variables that keeps the pivot values up to date."""
     pivot_set = set(pivots)
     free = [c for c in range(k) if c not in pivot_set]
-    if len(free) > MAX_UNKNOWNS // 2:
+    if len(free) > MAX_KERNEL_DIM:
         raise RuntimeError(
-            f"kernel dimension {len(free)} exceeds the solver bound {MAX_UNKNOWNS // 2}"
+            f"kernel dimension {len(free)} exceeds the solver bound {MAX_KERNEL_DIM}"
         )
     # pivot value = rhs - sum over free c of row[c] * x_c
     vals = [row[k] for row in rows]
@@ -328,39 +330,31 @@ class SignSolveReport:
 # Nekrasov's point-count formula
 
 
+# (l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3))
+NEKRASOV_FACTORED = FactoredWeightProduct(
+    1,
+    Fraction(1),
+    {
+        (1, 1, 0): 1,
+        (1, 0, 1): 1,
+        (0, 1, 1): 1,
+        (1, 0, 0): -1,
+        (0, 1, 0): -1,
+        (0, 0, 1): -1,
+        (1, 1, 1): -1,
+    },
+)
+
+
 def nekrasov_rational():
     """(l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3))."""
-    return FactoredWeightProduct(
-        1,
-        Fraction(1),
-        {
-            (1, 1, 0): 1,
-            (1, 0, 1): 1,
-            (0, 1, 1): 1,
-            (1, 0, 0): -1,
-            (0, 1, 0): -1,
-            (0, 0, 1): -1,
-            (1, 1, 1): -1,
-        },
-    ).expand()
+    return NEKRASOV_FACTORED.expand()
 
 
 def nekrasov_rational_subst(forms):
     """The same rational function after the chart substitution
-    l_i -> forms[i] (four linear forms summing to zero)."""
-    l1, l2, l3, l4 = forms
-    acc = FactoredWeightProduct.one()
-    for f in (
-        (l1[0] + l2[0], l1[1] + l2[1], l1[2] + l2[2]),
-        (l1[0] + l3[0], l1[1] + l3[1], l1[2] + l3[2]),
-        (l2[0] + l3[0], l2[1] + l3[1], l2[2] + l3[2]),
-    ):
-        acc = acc.mul_form(f, 1)
-    for f in (l1, l2, l3):
-        acc = acc.mul_form(f, -1)
-    neg4 = (-l4[0], -l4[1], -l4[2])
-    acc = acc.mul_form(neg4, -1)
-    return acc.expand()
+    l_i -> forms[i]."""
+    return NEKRASOV_FACTORED.substitute(forms).expand()
 
 
 def _group_terms(pairs):
@@ -384,9 +378,7 @@ def check_nekrasov(order, subst=None, cache=None):
     if subst is None:
         c = nekrasov_rational()
     else:
-        from .exactalg import weight_form
-
-        c = nekrasov_rational_subst(tuple(weight_form(col) for col in subst))
+        c = nekrasov_rational_subst(substitution_forms(subst))
     target = qexp(c, trunc)
     e = EMPTY_PP
     by_order = {n: [] for n in range(trunc)}

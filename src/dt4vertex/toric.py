@@ -5,8 +5,13 @@ insertions, and the global DT/PT generating series.
 
 Chart substitutions are 4x4 unimodular integer matrices stored by columns:
 column i is the global exponent vector of the i-th chart coordinate
-character.  Euler roots are always computed after substituting weights,
-never by substituting into rational functions.
+character.  The columns sum to (1, 1, 1, 1), so a substitution acts on
+linear forms as the 3x3 integer matrix A whose columns are the forms of the
+first three columns.  An Euler root is computed once, in standard
+coordinates, and a chart's root is obtained by relabelling its factors:
+each p^e becomes the positive-lead representative of A p to the same power,
+with the content moved into the scalar.  The two forms of a pair carry equal
+coefficients, so no sign arises and the parity is unchanged.
 """
 
 from __future__ import annotations
@@ -117,11 +122,6 @@ class EdgeSpec:
     def degrees_a(self):
         """Normal degrees in the order of chart a's normal axes."""
         return tuple(m for _, _, m in self.sigma)
-
-    def degrees_b(self):
-        """Normal degrees in the order of chart b's normal axes."""
-        pairs = sorted((jb, m) for _, jb, m in self.sigma)
-        return tuple(m for _, m in pairs)
 
 
 class ToricGeometry:

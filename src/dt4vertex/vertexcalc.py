@@ -7,6 +7,11 @@ with opposite linear forms, the representative whose form has positive
 first nonzero coefficient (under l1 > l2 > l3) is kept.  All reported
 values are canonical; sign assignments are interpreted relative to this
 convention.
+
+Each root is computed, memoized and cached once per fixed point, in
+standard coordinates.  A chart's root is that root relabelled by the
+chart's substitution (``relabel_root``); its sign key is the fixed-point
+key behind the substitution's prefix (``subst_key``).
 """
 
 from __future__ import annotations
@@ -258,7 +263,7 @@ def check_cy_symmetric(v):
     return True
 
 
-def euler_sqrt(v, subst=None):
+def euler_sqrt(v):
     """Canonical square root of the signed Euler class of -V.
 
     Pairs each weight with a partner of opposite form, keeps the
@@ -266,8 +271,6 @@ def euler_sqrt(v, subst=None):
     value = prod form^(-coeff) over representatives together with the parity
     making value^2 = (-1)^parity * e_T(-V).
     """
-    if subst is not None:
-        v = v.subst(subst)
     if not check_cy_symmetric(v):
         raise ValueError("vertex is not square-symmetric: Vbar != V*t1t2t3t4")
     zero_contribution = False
@@ -289,11 +292,41 @@ def euler_sqrt(v, subst=None):
     return SqrtEuler(value, parity % 2)
 
 
-def euler_full_product(v, subst=None):
+def substitution_forms(subst):
+    """The linear forms of a substitution's four columns, checked: they
+    must sum to 0 (the columns multiply to a power of t1t2t3t4, the
+    Calabi-Yau condition) and the first three must be independent.
+
+    The substitution then acts on linear forms as the matrix A with these
+    first three forms as columns: weight_form(M w) = A weight_form(w)."""
+    forms = tuple(weight_form(col) for col in subst)
+    if len(forms) != 4 or any(sum(f[i] for f in forms) for i in range(3)):
+        raise ValueError("substitution is not Calabi-Yau: its forms do not sum to 0")
+    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = forms[:3]
+    det = a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+    if not det:
+        raise ValueError("substitution is not invertible on linear forms")
+    return forms
+
+
+def relabel_root(root, forms):
+    """The canonical root of V.subst(cols) from the canonical root of V,
+    for forms = substitution_forms(cols).
+
+    A maps the pair of forms (f, -f) to (A f, -A f), and both carry the
+    same total coefficient, since V is square-symmetric.  So the canonical
+    root in chart coordinates replaces each factor p^e by the positive-lead
+    representative of A p, to the same power, with its content moved into
+    the scalar; no sign arises and the parity stays."""
+    value = root.value.substitute(forms)
+    return SqrtEuler(
+        FactoredWeightProduct(1, value.scalar, value.factors), root.parity
+    )
+
+
+def euler_full_product(v):
     """e_T(-V) as a LambdaRat from the unpaired full product over all
     weights; None when a positive T-fixed coefficient makes it undefined."""
-    if subst is not None:
-        v = v.subst(subst)
     acc = FactoredWeightProduct.one()
     for w, c in sorted(v.terms.items()):
         f = weight_form(w)
@@ -347,20 +380,27 @@ _MEMO = {}
 
 
 def _root_cached(base_key, subst, make_v, cache):
-    key = subst_key(subst) + base_key
+    """(sign key, root) of a fixed point under ``subst``: the standard root
+    comes from the memo, or from the cache when one is given, both keyed by
+    ``base_key``, and is relabelled when ``subst`` is not the identity."""
+    prefix = subst_key(subst)
+    forms = substitution_forms(subst) if prefix else None
     if cache is None:
-        root = _MEMO.get(key)
+        root = _MEMO.get(base_key)
         if root is None:
-            root = euler_sqrt(make_v(), subst)
-            _MEMO[key] = root
-        return key, root
-    rec = cache.get(key)
-    if rec is not None:
-        return key, SqrtEuler.from_json(rec["root"])
-    v = make_v()
-    root = euler_sqrt(v, subst)
-    cache.put(key, {"key": key, "V": v.to_json(), "root": root.to_json()})
-    return key, root
+            root = _MEMO[base_key] = euler_sqrt(make_v())
+    else:
+        rec = cache.get(base_key)
+        if rec is not None:
+            root = SqrtEuler.from_json(rec["root"])
+        else:
+            v = make_v()
+            root = euler_sqrt(v)
+            record = {"key": base_key, "V": v.to_json(), "root": root.to_json()}
+            cache.put(base_key, record)
+    if forms is not None:
+        root = relabel_root(root, forms)
+    return prefix + base_key, root
 
 
 def dt_vertex_root(sp, subst=None, cache=None):

@@ -1,10 +1,25 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from dt4vertex.exactalg import LambdaRat, poly_from_form, weight_form
-from dt4vertex.partitions import EMPTY_PP, EdgeData, PlanePartition, f_statistic
-from dt4vertex.ptconfig import TooManyLegs
+from dt4vertex.exactalg import (
+    FactoredWeightProduct,
+    LambdaRat,
+    evaluate_all_mod,
+    poly_from_form,
+    weight_form,
+)
+from dt4vertex.partitions import (
+    EMPTY_PP,
+    EdgeData,
+    PlanePartition,
+    enumerate_dt,
+    f_statistic,
+    plane_partitions_of,
+)
+from dt4vertex.ptconfig import LegModule, TooManyLegs, enumerate_boxconfigs
 from dt4vertex.toric import (
     BadDegrees,
     BadTransition,
@@ -29,10 +44,44 @@ from dt4vertex.toric import (
     preset_local_p1p1,
     preset_local_p2,
 )
-from dt4vertex.vertexcalc import dt_vertex_series, edge_root
+from dt4vertex.vertexcalc import (
+    dt_vertex_character,
+    dt_vertex_series,
+    edge_character,
+    edge_root,
+    euler_sqrt,
+    pt_vertex_character,
+    relabel_root,
+    substitution_forms,
+)
 
 BOX = PlanePartition([[1]])
 E = EMPTY_PP
+AXES = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+GLOBAL_PRESETS = ("localcurve", "localcurve:1,-1,-2", "localp2", "localp1p1")
+
+
+def preset_substitutions():
+    """Every chart and edge frame of the global presets and the 24 axis
+    permutations, without repeats, with the edge degrees seen."""
+    substs, degrees = set(), set()
+    for name in GLOBAL_PRESETS:
+        g = load_geometry(name)
+        substs.update(g.charts)
+        for e in g.edges:
+            substs.add(g.edge_frame_cols(e))
+            degrees.add(e.degrees_a())
+    substs.update(tuple(AXES[i] for i in p) for p in itertools.permutations(range(4)))
+    return sorted(substs), sorted(degrees)
+
+
+def small_leg_tuples():
+    """Leg 4-tuples of total size <= 2 with at most two non-empty legs."""
+    out = []
+    for sizes in itertools.product(range(3), repeat=4):
+        if sum(sizes) <= 2 and sum(1 for x in sizes if x) <= 2:
+            out.extend(itertools.product(*[plane_partitions_of(n) for n in sizes]))
+    return out
 
 
 class TestGeometry:
@@ -206,6 +255,56 @@ class TestSubstitutionCoherence:
         )
         assert root_a.parity == root_b.parity
         assert root_a.expand() * root_a.expand() == root_b.expand() * root_b.expand()
+
+    def test_relabelled_roots_equal_direct_roots(self):
+        # the standard root relabelled by a chart's forms is the root the
+        # chart computes from its substituted weights, field for field
+        substs, degrees = preset_substitutions()
+        vertices = []
+        for legs in small_leg_tuples():
+            vertices += [dt_vertex_character(sp).V for sp in enumerate_dt(*legs, 2)]
+            vertices += [
+                pt_vertex_character(c).V
+                for c in enumerate_boxconfigs(LegModule(legs), 2)
+            ]
+        for n in range(4):
+            for pp in plane_partitions_of(n):
+                vertices += [edge_character(pp, d).E for d in degrees]
+        compared = 0
+        for v in vertices:
+            root = euler_sqrt(v)
+            for cols in substs:
+                got = relabel_root(root, substitution_forms(cols))
+                want = euler_sqrt(v.subst(cols))
+                assert got.value == want.value and got.parity == want.parity
+                compared += 1
+        assert compared > 10000
+
+    def test_substitute_matches_evaluation(self):
+        # F.substitute(forms) at x equals F at the point (forms[i](x))_i,
+        # the transpose of A (forms as columns) applied to x
+        mod = (1 << 61) - 1
+        rng = random.Random(37)
+        pool = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1),
+                (0, 1, 1), (1, 1, 1), (2, 1, 0), (1, -2, 3)]
+        points = [tuple(rng.randrange(mod) for _ in range(3)) for _ in range(4)]
+        substs, _ = preset_substitutions()
+        all_forms = [substitution_forms(cols) for cols in substs]
+        # two maps that are not unimodular, so images carry content
+        all_forms += [((2, 0, 0), (1, 3, 0), (0, 1, -2)), ((1, 1, 0), (1, -1, 0), (0, 0, 2))]
+        for _ in range(12):
+            f = FactoredWeightProduct(
+                rng.choice([1, -1]),
+                Fraction(rng.randint(1, 6), rng.randint(1, 6)),
+                {p: rng.randint(-3, 3) for p in rng.sample(pool, 4)},
+            )
+            for forms in all_forms:
+                images = [
+                    tuple(sum(forms[i][j] * x[j] for j in range(3)) for i in range(3))
+                    for x in points
+                ]
+                got = evaluate_all_mod([f.substitute(forms).expand()], points, mod)
+                assert got == evaluate_all_mod([f.expand()], images, mod)
 
 
 class TestInsertions:

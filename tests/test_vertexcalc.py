@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dt4vertex.cache import VertexCache
 from dt4vertex.exactalg import (
     FactoredWeightProduct,
     LambdaRat,
@@ -27,6 +28,7 @@ from dt4vertex.vertexcalc import (
     check_cy_symmetric,
     dt_character,
     dt_vertex_character,
+    dt_vertex_root,
     dt_vertex_series,
     edge_F,
     euler_full_product,
@@ -37,6 +39,7 @@ from dt4vertex.vertexcalc import (
     redistribute_edge,
     redistribute_edge_division_oracle,
     redistribute_vertex,
+    subst_key,
     vertex_prelim,
     vertex_prelim_series_oracle,
 )
@@ -223,6 +226,36 @@ class TestEulerSqrt:
             et = euler_full_product(v)
             lhs = root.expand() * root.expand()
             assert lhs == (et.scale(-1) if root.parity else et)
+
+
+class TestChartRoots:
+    CHART = ((0, -1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 1))
+
+    def test_non_calabi_yau_substitution_rejected(self):
+        # the columns multiply to t1 t2 t3 t4^2, not to the CY character
+        cols = (E1, E2, E3, (0, 0, 0, 2))
+        for sp in (SolidPartition((E,) * 4), SolidPartition((E,) * 4, {(0, 0, 0, 0)})):
+            with pytest.raises(ValueError, match="Calabi-Yau"):
+                dt_vertex_root(sp, cols)
+
+    def test_singular_substitution_rejected(self):
+        cols = (E1, E1, E3, (-1, 1, 0, 1))
+        with pytest.raises(ValueError, match="invertible"):
+            dt_vertex_root(SolidPartition((BOX, E, E, E)), cols)
+
+    def test_one_cache_record_per_fixed_point(self, tmp_path):
+        cache = VertexCache(str(tmp_path))
+        sp = next(iter(enumerate_dt(BOX, E, E, E, 1)))
+        key, root = dt_vertex_root(sp, self.CHART, cache)
+        assert key == subst_key(self.CHART) + sp.key()
+        std_key, std_root = dt_vertex_root(sp, None, cache)
+        assert cache.keys() == [std_key] == [sp.key()]
+        v = dt_vertex_character(sp).V
+        assert root.value == euler_sqrt(v.subst(self.CHART)).value
+        assert std_root.value == euler_sqrt(v).value
+        again = VertexCache(str(tmp_path))
+        assert dt_vertex_root(sp, self.CHART, again) == (key, root)
+        assert again.hits == 1 and len(again) == 1
 
 
 class TestVertexSeries:
