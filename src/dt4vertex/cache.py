@@ -16,6 +16,8 @@ import os
 FORMAT = "dt4vertex-cache"
 VERSION = 1
 FILENAME = "vertices.jsonl"
+# keys of the records an older layout wrote per chart; nothing looks them up
+CHART_PREFIX = "@["
 
 
 def default_cache_dir():
@@ -31,7 +33,9 @@ class VertexCache:
 
     An append that was cut short leaves a last line without its newline.
     Loading skips that line, and the next append cuts it away first; any
-    other malformed line raises.
+    other malformed line raises.  Loading also skips the records of chart
+    roots (keys behind a chart prefix) that an older layout wrote, since
+    chart roots are now relabelled from standard ones.
     """
 
     def __init__(self, directory=None):
@@ -64,7 +68,8 @@ class VertexCache:
                 line = line.strip()
                 if line:
                     rec = json.loads(line)
-                    self._data[rec["key"]] = rec
+                    if not rec["key"].startswith(CHART_PREFIX):
+                        self._data[rec["key"]] = rec
 
     def _append(self, record):
         os.makedirs(self.directory, exist_ok=True)

@@ -606,6 +606,26 @@ def poly_div_linear(p, form):
     return out
 
 
+def poly_substitute(p, forms):
+    """p(forms[0], forms[1], forms[2]) for linear forms (c1, c2, c3), by
+    Horner's rule in l1, then in l2 and l3 for each coefficient."""
+
+    def horner(terms, i):
+        if i == 3:
+            return poly_const(terms[()])
+        by_power = {}
+        for m, c in terms.items():
+            by_power.setdefault(m[0], {})[m[1:]] = c
+        out = {}
+        for e in range(max(by_power), -1, -1):
+            out = poly_linear_mul(out, forms[i])
+            if e in by_power:
+                out = poly_add(out, horner(by_power[e], i + 1))
+        return out
+
+    return horner(p, 0) if p else {}
+
+
 def render_poly(p):
     if not p:
         return "0"
@@ -830,6 +850,14 @@ class LambdaRat:
         )
 
     __hash__ = None
+
+    def substitute(self, forms):
+        """The value under an invertible linear substitution (l1, l2, l3)
+        -> (forms[0], forms[1], forms[2]), as in
+        ``FactoredWeightProduct.substitute``."""
+        den = FactoredWeightProduct(1, self.scalar, self.factors).substitute(forms)
+        num = poly_scale(poly_substitute(self.num, forms), den.sign)
+        return LambdaRat(num, den.scalar.numerator, den.factors)
 
     # -- evaluation (the rows of the sign solver)
 

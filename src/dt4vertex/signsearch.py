@@ -8,6 +8,20 @@ the x_i.  Every true solution satisfies every evaluated row, so the 0/1
 solutions of the system, found by enumerating its kernel, include all of
 them; each of these candidates is then verified with exact arithmetic.  The
 reported solution sets are therefore both sound and complete.
+
+Identities are solved in standard coordinates only, and a chart's report is
+transported from that solve.  A chart substitution acts on linear forms as
+an invertible linear map A, a field automorphism of Q(l1, l2, l3).  The
+fixed points and their order are the same in every chart, and the chart
+root of pi is s_pi A(r_pi), where s_pi = +-1 is the sign that
+``relabel_root`` drops (standard roots have sign +1).  With the chart's
+empty-vertex signs moved to standard ones by s (``standard_signs``), each
+chart equation is A of a standard one, so its solutions are exactly the
+standard solutions multiplied by s, order by order and branch by branch.
+The report builders re-sort them as a direct solve would, and a failing
+order's residual is A of the standard residual with the signs s.  Equal
+values render to equal text, so transported reports are byte-identical to
+those of a direct solve in chart coordinates.
 """
 
 from __future__ import annotations
@@ -357,66 +371,159 @@ def nekrasov_rational_subst(forms):
     return NEKRASOV_FACTORED.substitute(forms).expand()
 
 
-def _group_terms(pairs):
-    """Split (key, value) pairs into solvable nonzero terms and free zeros."""
-    solvable, free = [], []
-    for key, val in pairs:
-        if val.is_zero():
-            free.append(key)
-        else:
-            solvable.append((key, val))
-    return solvable, free
+# ---------------------------------------------------------------------------
+# solves in standard coordinates, reports in any chart
 
 
-def check_nekrasov(order, subst=None, cache=None):
-    """Solve order-by-order for DT vertex signs matching
-    exp(q (l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3))) through q^order
-    inclusive (order 4 solves 1, 4, 10, 26 unknowns)."""
+@dataclass
+class OrderSolve:
+    """One q-order of a sign solve in standard coordinates.
+
+    ``keys`` and ``roots`` list the nonzero terms, the first ``n_dt`` of
+    them DT terms, and ``free`` the keys of the zero terms.  The unknowns
+    are the signs of the nonzero terms.  A PT term's sign is its unknown
+    negated, since it sits on the other side of the identity; a zero term's
+    sign is +1.  ``solutions`` holds, for each parent branch, the sorted
+    sign vectors extending it, and ``rhs`` each parent's right-hand side,
+    kept only when no parent extends.  ``order`` is the q-order reported."""
+
+    order: int
+    keys: list
+    roots: list
+    n_dt: int
+    free: list
+    solutions: list = field(default_factory=list)
+    rhs: list | None = None
+
+
+def _order_solve(order, dt_pairs, pt_pairs):
+    """An OrderSolve without solutions, from (key, root) pairs."""
+    dt = [(k, r) for k, r in dt_pairs if not r.is_zero()]
+    pt = [(k, r) for k, r in pt_pairs if not r.is_zero()]
+    free = [k for k, r in dt_pairs + pt_pairs if r.is_zero()]
+    return OrderSolve(
+        order, [k for k, _ in dt + pt], [r for _, r in dt + pt], len(dt), free
+    )
+
+
+def _chart(subst):
+    """(sign-key prefix, substitution forms) of a chart; forms is None in
+    standard coordinates."""
+    prefix = subst_key(subst)
+    return prefix, substitution_forms(subst) if prefix else None
+
+
+def chart_sign(root, forms):
+    """The sign s = +-1 with relabel_root(root, forms) = s * A(root), where
+    A is the substitution l_i -> forms[i]: the sign ``relabel_root`` drops.
+    Standard roots carry sign +1, so this is the sign of the substituted
+    root; it is +1 in standard coordinates (forms None)."""
+    return 1 if forms is None else root.value.substitute(forms).sign
+
+
+def _order_signs(o, eps, prefix):
+    """The sign of every key of one order under the sign vector eps, each
+    key behind the chart's prefix."""
+    out = {
+        prefix + k: e if i < o.n_dt else -e
+        for i, (k, e) in enumerate(zip(o.keys, eps))
+    }
+    out.update({prefix + k: 1 for k in o.free})
+    return out
+
+
+def _residual(o, parent, s, forms):
+    """The canonical-sign residual of a parent in the chart: the chart's
+    terms are s_i A(a_i) and its right-hand side is A(rhs), so the residual
+    is A(sum s_i a_i - rhs)."""
+    gap = lambdarat_sum([r.expand().scale(t) for r, t in zip(o.roots, s)])
+    gap = gap - o.rhs[parent]
+    return (gap if forms is None else gap.substitute(forms)).render()
+
+
+def standard_signs(signs, subst, order, cache=None):
+    """Empty-vertex signs through q^order moved from a chart to standard
+    coordinates: sign(pi) = signs[chart key of pi] * s_pi, so that the
+    chart's signed empty vertex is A of the standard one.  Signs given in
+    standard coordinates are returned as they are."""
+    prefix, forms = _chart(subst)
+    if not prefix:
+        return signs
+    out = {}
+    for sp in enumerate_dt(EMPTY_PP, EMPTY_PP, EMPTY_PP, EMPTY_PP, order):
+        key, root = dt_vertex_root(sp, cache=cache)
+        out[key] = signs[prefix + key] * chart_sign(root, forms)
+    return SignAssignment(out)
+
+
+# ---------------------------------------------------------------------------
+# Nekrasov's identity
+
+
+def solve_nekrasov(order, cache=None):
+    """The solve behind ``check_nekrasov``, in standard coordinates: one
+    OrderSolve per q-order through q^order, each with a single parent."""
     if order < 0:
         raise ValueError("order must be >= 0")
     trunc = order + 1
-    if subst is None:
-        c = nekrasov_rational()
-    else:
-        c = nekrasov_rational_subst(substitution_forms(subst))
-    target = qexp(c, trunc)
+    target = qexp(nekrasov_rational(), trunc)
     e = EMPTY_PP
     by_order = {n: [] for n in range(trunc)}
     for sp in enumerate_dt(e, e, e, e, trunc - 1):
-        key, root = dt_vertex_root(sp, subst, cache)
-        by_order[sp.n_added()].append((key, root.expand()))
-
+        by_order[sp.n_added()].append(dt_vertex_root(sp, cache=cache))
     orders = []
+    for n in range(trunc):
+        o = _order_solve(n, by_order[n], [])
+        sols = solve_signed_sum([r.expand() for r in o.roots], target.coefficient(n))
+        o.solutions.append(sols)
+        if not sols:
+            o.rhs = [target.coefficient(n)]
+        orders.append(o)
+    return orders
+
+
+def nekrasov_report(orders, subst=None):
+    """The report of ``check_nekrasov`` in the chart ``subst``, transported
+    from the standard solve ``orders``: with the chart's roots s_pi A(r_pi)
+    and target A(target), the chart's solutions are the standard ones
+    multiplied by s, re-sorted."""
+    prefix, forms = _chart(subst)
+    reports = []
     witness = {}
     total_solutions = 1
     ok = True
-    for n in range(trunc):
-        solvable, free = _group_terms(by_order[n])
-        sols = solve_signed_sum([v for _, v in solvable], target.coefficient(n))
-        n_sol = len(sols)
+    for o in orders:
+        s = [chart_sign(r, forms) for r in o.roots]
+        sols = sorted(tuple(e * t for e, t in zip(eps, s)) for eps in o.solutions[0])
         wit = {}
         residual = None
         if sols:
-            wit = {k: s for (k, _), s in zip(solvable, sols[0])}
-            wit.update({k: 1 for k in free})
+            wit = _order_signs(o, sols[0], prefix)
             witness.update(wit)
         else:
             ok = False
-            gap = lambdarat_sum([v for _, v in solvable]) - target.coefficient(n)
-            residual = gap.render()
-        total_solutions *= n_sol
-        orders.append(
-            OrderReport(n, len(solvable), len(free), n_sol, wit, residual)
+            residual = _residual(o, 0, s, forms)
+        total_solutions *= len(sols)
+        reports.append(
+            OrderReport(o.order, len(o.keys), len(o.free), len(sols), wit, residual)
         )
     return SignSolveReport(
         target="nekrasov",
-        params={"order": order, "subst": subst_key(subst) or "standard"},
-        orders=orders,
+        params={"order": len(orders) - 1, "subst": prefix or "standard"},
+        orders=reports,
         n_global_solutions=total_solutions if ok else 0,
         closed_under_negation=False,
         ok=ok,
         witness=SignAssignment(witness) if ok else None,
     )
+
+
+def check_nekrasov(order, subst=None, cache=None):
+    """Solve order-by-order for DT vertex signs matching
+    exp(q (l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3))) through q^order
+    inclusive (order 4 solves 1, 4, 10, 26 unknowns), in standard
+    coordinates; the report is transported to the chart ``subst``."""
+    return nekrasov_report(solve_nekrasov(order, cache), subst)
 
 
 def nekrasov_series(trunc, report=None, subst=None, cache=None):
@@ -438,57 +545,53 @@ def nekrasov_series(trunc, report=None, subst=None, cache=None):
 # the DT/PT vertex correspondence
 
 
-def check_dtpt(lam, mu, nu, rho, trunc, nekrasov_signs=None, subst=None, cache=None,
-               max_branches=4096):
-    """Solve order-by-order for joint DT and PT vertex signs realizing
-    Vtilde^DT = Vtilde^PT * V^DT_empty mod q^trunc, with the empty-vertex
-    signs fixed to Nekrasov's unique solution.
+@dataclass
+class DtptSolve:
+    """The standard-coordinate solve behind ``check_dtpt``: the branch tree
+    of sign solutions, one OrderSolve per q-order reached."""
 
-    Reports the full solution structure: per-order extension counts, the
-    number of globally consistent assignments, and whether the solution set
-    is closed under global negation.
-    """
-    legs = (lam, mu, nu, rho)
+    legs: tuple
+    trunc: int
+    lowest: int
+    orders: list
+
+
+def solve_dtpt(legs, trunc, nekrasov_signs, cache=None, max_branches=4096):
+    """Solve order-by-order, in standard coordinates, for joint DT and PT
+    vertex signs realizing Vtilde^DT = Vtilde^PT * V^DT_empty mod q^trunc,
+    with the empty-vertex signs ``nekrasov_signs`` (standard keys).
+
+    Each branch is a solution through the previous order; its children, in
+    order, extend it by the sorted solutions of the next order.  The solve
+    stops after the first order that no branch extends."""
     module = LegModule(legs)  # raises TooManyLegs for >= 3 non-empty legs
-    if nekrasov_signs is None:
-        nek_report = check_nekrasov(trunc - 1, subst=subst, cache=cache)
-        if not nek_report.ok:
-            raise RuntimeError("no Nekrasov signs at the requested order")
-        nekrasov_signs = nek_report.witness
 
     # coefficients of V^DT_empty with the Nekrasov signs
     e = EMPTY_PP
     c_terms = [[] for _ in range(trunc)]
     for sp in enumerate_dt(e, e, e, e, trunc - 1):
-        key, root = dt_vertex_root(sp, subst, cache)
+        key, root = dt_vertex_root(sp, cache=cache)
         c_terms[sp.n_added()].append(root.expand().scale(nekrasov_signs[key]))
     c = [lambdarat_sum(terms) for terms in c_terms]
 
-    cm = SolidPartition(legs)
-    lowest = cm.renormalized_volume()
+    lowest = SolidPartition(legs).renormalized_volume()
     dt_by_order = {n: [] for n in range(trunc)}
-    for sp in enumerate_dt(lam, mu, nu, rho, trunc - 1):
-        key, root = dt_vertex_root(sp, subst, cache)
-        dt_by_order[sp.n_added()].append((key, root.expand()))
+    for sp in enumerate_dt(*legs, trunc - 1):
+        dt_by_order[sp.n_added()].append(dt_vertex_root(sp, cache=cache))
     pt_by_order = {n: [] for n in range(trunc)}
     for config in enumerate_boxconfigs(module, trunc - 1):
-        key, root = pt_vertex_root(config, subst, cache)
-        pt_by_order[config.weighted_length()].append((key, root.expand()))
+        pt_by_order[config.weighted_length()].append(pt_vertex_root(config, cache=cache))
 
-    # each branch: (signs dict, per-order PT coefficient values)
-    branches = [({}, [])]
+    # each branch: its PT coefficient values, order by order
+    branches = [[]]
     orders = []
-    ok = True
     for n in range(trunc):
-        dt_solvable, dt_free = _group_terms(dt_by_order[n])
-        pt_solvable, pt_free = _group_terms(pt_by_order[n])
-        terms = [v for _, v in dt_solvable] + [v for _, v in pt_solvable]
+        o = _order_solve(n + lowest, dt_by_order[n], pt_by_order[n])
+        terms = [r.expand() for r in o.roots]
         state = _solver_state(terms) if terms else None
-        new_branches = []
-        n_ext = 0
-        witness = {}
-        residual = None
-        for signs, pt_coeffs in branches:
+        children = []
+        rhs_of = []
+        for pt_coeffs in branches:
             # sum eps_dt a - sum eps_pt b = sum_{k>=1} c_k * PT_{n-k}
             rhs = LambdaRat.from_int(0)
             for k in range(1, n + 1):
@@ -497,46 +600,59 @@ def check_dtpt(lam, mu, nu, rho, trunc, nekrasov_signs=None, subst=None, cache=N
                 sols = solve_signed_sum(terms, rhs, _reuse=state)
             else:
                 sols = [()] if rhs.is_zero() else []
-            if not sols and residual is None:
-                residual = (lambdarat_sum(terms) - rhs).render()
-            n_ext += len(sols)
+            o.solutions.append(sols)
+            rhs_of.append(rhs)
             for eps in sols:
-                nd = len(dt_solvable)
-                new_signs = dict(signs)
-                for (key, _), s in zip(dt_solvable, eps[:nd]):
-                    new_signs[key] = s
-                for (key, _), s in zip(pt_solvable, eps[nd:]):
-                    new_signs[key] = -s
-                for key in dt_free + pt_free:
-                    new_signs[key] = 1
                 pt_n = lambdarat_sum(
-                    [val.scale(new_signs[key]) for key, val in pt_solvable]
+                    [v.scale(-s) for v, s in zip(terms[o.n_dt:], eps[o.n_dt:])]
                 )
-                new_branches.append((new_signs, pt_coeffs + [pt_n]))
-                if not witness:
-                    witness = {
-                        k: new_signs[k]
-                        for k in [key for key, _ in dt_solvable]
-                        + [key for key, _ in pt_solvable]
-                        + dt_free
-                        + pt_free
-                    }
-        if len(new_branches) > max_branches:
+                children.append(pt_coeffs + [pt_n])
+        if len(children) > max_branches:
             raise RuntimeError("sign-solution branching exceeded the bound")
+        if not children:
+            o.rhs = rhs_of
+        orders.append(o)
+        branches = children
+        if not branches:
+            break
+    return DtptSolve(legs, trunc, lowest, orders)
+
+
+def dtpt_report(solve, subst=None):
+    """The report of ``check_dtpt`` in the chart ``subst``, transported from
+    a standard solve.
+
+    In the chart, each term is s_pi A(a_pi) and each right-hand side A(rhs),
+    so a branch's solutions are its standard solutions multiplied by s.
+    The branch bookkeeping of the direct solve is replayed: each parent's
+    transported solutions are re-sorted, and each child keeps the index of
+    its standard branch, whose solutions it extends at the next order."""
+    prefix, forms = _chart(subst)
+    # chart-ordered branches: (signs, index of the standard branch)
+    branches = [({}, 0)]
+    orders = []
+    for o in solve.orders:
+        s = [chart_sign(r, forms) for r in o.roots]
+        starts = list(itertools.accumulate(map(len, o.solutions), initial=0))
+        children = []
+        witness = {}
+        for signs, j in branches:
+            moved = sorted(
+                (tuple(e * t for e, t in zip(eps, s)), starts[j] + i)
+                for i, eps in enumerate(o.solutions[j])
+            )
+            for eps, child in moved:
+                own = _order_signs(o, eps, prefix)
+                if not witness:
+                    witness = own
+                children.append(({**signs, **own}, child))
+        residual = None if children else _residual(o, branches[0][1], s, forms)
         orders.append(
             OrderReport(
-                n + lowest,
-                len(dt_solvable) + len(pt_solvable),
-                len(dt_free) + len(pt_free),
-                n_ext,
-                witness,
-                residual if n_ext == 0 else None,
+                o.order, len(o.keys), len(o.free), len(children), witness, residual
             )
         )
-        branches = new_branches
-        if not branches:
-            ok = False
-            break
+        branches = children
 
     solution_sets = {frozenset(signs.items()) for signs, _ in branches}
     closed = bool(solution_sets) and all(
@@ -544,19 +660,42 @@ def check_dtpt(lam, mu, nu, rho, trunc, nekrasov_signs=None, subst=None, cache=N
         for signs, _ in branches
     )
     witness_signs = None
-    if ok and branches:
+    if branches:
         witness_signs = SignAssignment(dict(sorted(branches[0][0].items())))
     return SignSolveReport(
         target="dtpt",
         params={
-            "legs": ",".join(pp.render() for pp in legs),
-            "order": trunc,
-            "lowest": lowest,
-            "subst": subst_key(subst) or "standard",
+            "legs": ",".join(pp.render() for pp in solve.legs),
+            "order": solve.trunc,
+            "lowest": solve.lowest,
+            "subst": prefix or "standard",
         },
         orders=orders,
-        n_global_solutions=len(branches) if ok else 0,
+        n_global_solutions=len(branches),
         closed_under_negation=closed,
-        ok=ok and bool(branches),
+        ok=bool(branches),
         witness=witness_signs,
     )
+
+
+def check_dtpt(lam, mu, nu, rho, trunc, nekrasov_signs=None, subst=None, cache=None,
+               max_branches=4096):
+    """Solve order-by-order for joint DT and PT vertex signs realizing
+    Vtilde^DT = Vtilde^PT * V^DT_empty mod q^trunc, with the empty-vertex
+    signs fixed to Nekrasov's unique solution.
+
+    Reports the full solution structure: per-order extension counts, the
+    number of globally consistent assignments, and whether the solution set
+    is closed under global negation.  In a chart ``subst`` the given
+    empty-vertex signs are moved to standard coordinates, the identity is
+    solved there, and the report is transported back.
+    """
+    legs = (lam, mu, nu, rho)
+    LegModule(legs)  # raises TooManyLegs for >= 3 non-empty legs
+    if nekrasov_signs is None:
+        nek_report = check_nekrasov(trunc - 1, subst=subst, cache=cache)
+        if not nek_report.ok:
+            raise RuntimeError("no Nekrasov signs at the requested order")
+        nekrasov_signs = nek_report.witness
+    standard = standard_signs(nekrasov_signs, subst, trunc - 1, cache)
+    return dtpt_report(solve_dtpt(legs, trunc, standard, cache, max_branches), subst)

@@ -12,6 +12,13 @@ coordinates, and a chart's root is obtained by relabelling its factors:
 each p^e becomes the positive-lead representative of A p to the same power,
 with the content moved into the scalar.  The two forms of a pair carry equal
 coefficients, so no sign arises and the parity is unchanged.
+
+The chart-level sign checks of the global identity are decided the same
+way: as a function of the standard values, the relabelled root is s A(r)
+with s = +-1, so each chart's Nekrasov and DT/PT identities are A of
+standard ones.  ``chart_sign_reports`` solves Nekrasov once and each
+distinct leg tuple once, in standard coordinates, and transports the
+solutions to every chart (see ``signsearch``).
 """
 
 from __future__ import annotations
@@ -43,10 +50,13 @@ from .partitions import (
 from .ptconfig import BoxConfig, LegModule, enumerate_boxconfigs
 from .signsearch import (
     SignAssignment,
-    check_dtpt,
-    check_nekrasov,
+    dtpt_report,
+    nekrasov_report,
     nekrasov_series,
+    solve_dtpt,
+    solve_nekrasov,
     solve_signed_sum,
+    standard_signs,
 )
 from .vertexcalc import (
     dt_character,
@@ -770,36 +780,57 @@ def _collect_edge_keys(g, beta, signs, cache):
             signs.setdefault(key, 1)
 
 
+def chart_sign_reports(g, beta, trunc, cache=None):
+    """The sign reports of every chart, in the order the global check uses
+    them: (chart, None, Nekrasov report), then (chart, legs, DT/PT report)
+    for each nonempty leg tuple the chart needs.  A chart whose Nekrasov
+    check fails ends the sequence.
+
+    Every report is transported from a solve in standard coordinates (see
+    ``signsearch``).  Nekrasov is solved once, and each leg tuple once per
+    set of standard empty-vertex signs; the solves are kept for this call
+    only."""
+    empty = (EMPTY_PP,) * 4
+    needs = _required_leg_tuples(g, beta)
+    nek_solve = solve_nekrasov(trunc - 1, cache)
+    solves = {}
+    for alpha, cols in enumerate(g.charts):
+        nek = nekrasov_report(nek_solve, cols)
+        yield alpha, None, nek
+        if not nek.ok:
+            return
+        standard = standard_signs(nek.witness, cols, trunc - 1, cache)
+        legs = sorted(
+            needs[alpha] - {empty}, key=lambda Ls: tuple(pp.sort_key() for pp in Ls)
+        )
+        for L in legs:
+            memo = (L, tuple(standard.items()))
+            if memo not in solves:
+                solves[memo] = solve_dtpt(L, trunc, standard, cache)
+            yield alpha, L, dtpt_report(solves[memo], cols)
+
+
 def check_affine_implies_toric(g, beta, trunc, gammas=(), cache=None):
     """Verify I_beta / I_0 = P_beta mod q^trunc with signs induced from the
     per-chart vertex-level DT/PT solutions (empty-vertex signs fixed to
     Nekrasov's).  Raises NoConsistentSigns when a chart-level solution does
     not exist."""
-    empty = (EMPTY_PP,) * 4
-    needs = _required_leg_tuples(g, beta)
     signs = {}
     chart_reports = []
-    for alpha in range(g.nverts()):
-        cols = g.charts[alpha]
-        nek = check_nekrasov(trunc - 1, subst=cols, cache=cache)
-        if not nek.ok:
-            raise NoConsistentSigns(f"no Nekrasov signs on chart {alpha}")
-        signs.update(nek.witness.mapping)
-        for L in sorted(needs[alpha], key=lambda Ls: tuple(pp.sort_key() for pp in Ls)):
-            if L == empty:
-                key = BoxConfig(LegModule(L), frozenset()).key()
-                signs.setdefault(subst_key(cols) + key, 1)
-                continue
-            rep = check_dtpt(
-                *L, trunc, nekrasov_signs=nek.witness, subst=cols, cache=cache
+    for alpha, L, rep in chart_sign_reports(g, beta, trunc, cache):
+        if not rep.ok:
+            if L is None:
+                raise NoConsistentSigns(f"no Nekrasov signs on chart {alpha}")
+            raise NoConsistentSigns(
+                f"no DT/PT signs on chart {alpha} for legs "
+                + ",".join(pp.render() for pp in L)
             )
+        signs.update(rep.witness.mapping)
+        if L is None:
+            key = BoxConfig(LegModule((EMPTY_PP,) * 4), frozenset()).key()
+            signs.setdefault(subst_key(g.charts[alpha]) + key, 1)
+        else:
             chart_reports.append(rep)
-            if not rep.ok:
-                raise NoConsistentSigns(
-                    f"no DT/PT signs on chart {alpha} for legs "
-                    + ",".join(pp.render() for pp in L)
-                )
-            signs.update(rep.witness.mapping)
     _collect_edge_keys(g, beta, signs, cache)
     assignment = SignAssignment(signs)
     zero_beta = (0,) * g.nclasses
@@ -902,10 +933,10 @@ def local_curve_full_check(d_max, trunc, nn_max=None, cache=None):
     # Nekrasov factors of the two charts; I_0 = exp(q (c_0 + c_1)).  The
     # signs are verified at desk order; the assembly only needs the q^1
     # coefficient of each chart's empty vertex.
-    nek_order = min(4, trunc - 1)
+    nek_solve = solve_nekrasov(min(4, trunc - 1), cache)
     c_total = LambdaRat.from_int(0)
     for alpha in range(g.nverts()):
-        nek = check_nekrasov(nek_order, subst=g.charts[alpha], cache=cache)
+        nek = nekrasov_report(nek_solve, g.charts[alpha])
         if not nek.ok:
             raise NoConsistentSigns(f"no Nekrasov signs on chart {alpha}")
         series = nekrasov_series(2, report=nek, subst=g.charts[alpha], cache=cache)

@@ -289,6 +289,9 @@ class TestCriterion7Determinism:
             ["check", "dtpt", "--legs", "[[1]],[[1]],[],[]", "--order", "3", "--json"],
             ["check", "global", "--geometry", "localcurve", "--beta", "1",
              "--order", "3", "--json"],
+            # branching chart checks, whose transported solutions re-sort
+            ["check", "global", "--geometry", "localp1p1", "--beta", "1,1",
+             "--order", "3", "--json"],
         ]
         ok = True
         for args in commands:

@@ -200,3 +200,35 @@ class TestCacheCommand:
             fh.write(b'{"key": "broken\n')
         rc, out = run(args)
         assert rc == 2 and out.startswith("error:")
+
+    def test_chart_prefixed_records_are_skipped(self, tmp_path):
+        # an older layout cached chart roots under "@[...]" keys; nothing
+        # looks them up, so loading neither serves nor counts them
+        from dt4vertex.partitions import EMPTY_PP, SolidPartition
+        from dt4vertex.vertexcalc import dt_vertex_root
+
+        cdir = tmp_path / "cache"
+        first = VertexCache(str(cdir))
+        sp = SolidPartition((EMPTY_PP,) * 4, {(0, 0, 0, 0)})
+        key, root = dt_vertex_root(sp, None, first)
+        path = cdir / "vertices.jsonl"
+        header, live = path.read_bytes().splitlines()
+        stale = json.loads(live)
+        stale["key"] = "@[0,-1,0,0;1,-1,0,0;0,1,1,0;0,2,0,1]" + key
+        path.write_bytes(
+            header + b"\n" + json.dumps(stale, sort_keys=True).encode() + b"\n"
+            + live + b"\n"
+        )
+        cache = VertexCache(str(cdir))
+        assert cache.keys() == [key]
+        rc, out = run(["cache", "stats", "--cache-dir", str(cdir)])
+        assert rc == 0 and "entries: 1" in out
+        key2, root2 = dt_vertex_root(sp, None, cache)
+        assert key2 == key and root2.value == root.value and cache.hits == 1
+        # a later put appends one whole line after the records already there
+        sp2 = SolidPartition((EMPTY_PP,) * 4, {(0, 0, 0, 0), (1, 0, 0, 0)})
+        key3, _ = dt_vertex_root(sp2, None, cache)
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == 5
+        assert json.loads(lines[3])["key"] == key3
+        assert VertexCache(str(cdir)).keys() == sorted([key, key3])

@@ -282,7 +282,8 @@ class TestSubstitutionCoherence:
 
     def test_substitute_matches_evaluation(self):
         # F.substitute(forms) at x equals F at the point (forms[i](x))_i,
-        # the transpose of A (forms as columns) applied to x
+        # the transpose of A (forms as columns) applied to x; likewise for
+        # a LambdaRat with a numerator that is no product of forms
         mod = (1 << 61) - 1
         rng = random.Random(37)
         pool = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1),
@@ -298,13 +299,18 @@ class TestSubstitutionCoherence:
                 Fraction(rng.randint(1, 6), rng.randint(1, 6)),
                 {p: rng.randint(-3, 3) for p in rng.sample(pool, 4)},
             )
+            h = f.expand() + FactoredWeightProduct(
+                1, 1, {p: rng.randint(-2, 2) for p in rng.sample(pool, 3)}
+            ).expand()
             for forms in all_forms:
                 images = [
                     tuple(sum(forms[i][j] * x[j] for j in range(3)) for i in range(3))
                     for x in points
                 ]
-                got = evaluate_all_mod([f.substitute(forms).expand()], points, mod)
-                assert got == evaluate_all_mod([f.expand()], images, mod)
+                got = evaluate_all_mod(
+                    [f.substitute(forms).expand(), h.substitute(forms)], points, mod
+                )
+                assert got == evaluate_all_mod([f.expand(), h], images, mod)
 
 
 class TestInsertions:
