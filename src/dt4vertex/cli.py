@@ -76,8 +76,13 @@ def _load_signs(cfg, legs, cache):
     if cfg.sign_policy == "canonical":
         return SignAssignment.canonical()
     if cfg.sign_policy == "file":
-        with open(cfg.signs_file, "r", encoding="utf-8") as fh:
-            return SignAssignment.from_json(json.load(fh))
+        try:
+            with open(cfg.signs_file, "r", encoding="utf-8") as fh:
+                return SignAssignment.from_json(json.load(fh))
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read signs file {cfg.signs_file!r}: {exc.strerror}"
+            ) from exc
     if cfg.sign_policy == "solve":
         if all(pp.is_empty() for pp in legs):
             rep = check_nekrasov(cfg.order, cache=cache)
@@ -309,7 +314,7 @@ def _dispatch(args, out):
         if args.command == "check":
             cfg = RunConfig(
                 command=args.target,
-                legs=parse_legs(args.legs) if getattr(args, "legs", None) else (),
+                legs=parse_legs(args.legs) if args.target == "dtpt" else (),
                 order=args.order,
                 geometry=getattr(args, "geometry", ""),
                 beta=tuple(

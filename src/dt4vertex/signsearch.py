@@ -9,15 +9,22 @@ solutions of the system, found by enumerating its kernel, include all of
 them; each of these candidates is then verified with exact arithmetic.  The
 reported solution sets are therefore both sound and complete.
 
+Two identities are solved.  ``check nekrasov`` decides Nekrasov's formula
+V^DT_empty = exp(qC), C = (l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3)),
+for the signed empty DT vertex.  ``check dtpt`` decides the DT/PT vertex
+correspondence Vtilde^DT = Vtilde^PT * exp(qC), whose empty-vertex factor
+``check nekrasov`` verifies, so its right-hand side is a fixed series with
+no signs of its own.
+
 Identities are solved in standard coordinates only, and a chart's report is
 transported from that solve.  A chart substitution acts on linear forms as
 an invertible linear map A, a field automorphism of Q(l1, l2, l3).  The
 fixed points and their order are the same in every chart, and the chart
 root of pi is s_pi A(r_pi), where s_pi = +-1 is the sign that
-``relabel_root`` drops (standard roots have sign +1).  With the chart's
-empty-vertex signs moved to standard ones by s (``standard_signs``), each
-chart equation is A of a standard one, so its solutions are exactly the
-standard solutions multiplied by s, order by order and branch by branch.
+``relabel_root`` drops (standard roots have sign +1).  The chart's target
+is A(exp(qC)), so each chart equation is A of a standard one, and its
+solutions are exactly the standard solutions multiplied by s, order by
+order and branch by branch.
 The report builders re-sort them as a direct solve would, and a failing
 order's residual is A of the standard residual with the signs s.  Equal
 values render to equal text, so transported reports are byte-identical to
@@ -45,6 +52,8 @@ from .vertexcalc import dt_vertex_root, pt_vertex_root, subst_key, substitution_
 MAX_UNKNOWNS = 40
 # the free variables of a reduced system are walked exhaustively: 2^20 steps
 MAX_KERNEL_DIM = 20
+# global sign solutions of the DT/PT identity kept through one order
+MAX_BRANCHES = 4096
 
 # the prime 2^61 - 1 of the solver's modular rows
 _PRIME = (1 << 61) - 1
@@ -441,21 +450,6 @@ def _residual(o, parent, s, forms):
     return (gap if forms is None else gap.substitute(forms)).render()
 
 
-def standard_signs(signs, subst, order, cache=None):
-    """Empty-vertex signs through q^order moved from a chart to standard
-    coordinates: sign(pi) = signs[chart key of pi] * s_pi, so that the
-    chart's signed empty vertex is A of the standard one.  Signs given in
-    standard coordinates are returned as they are."""
-    prefix, forms = _chart(subst)
-    if not prefix:
-        return signs
-    out = {}
-    for sp in enumerate_dt(EMPTY_PP, EMPTY_PP, EMPTY_PP, EMPTY_PP, order):
-        key, root = dt_vertex_root(sp, cache=cache)
-        out[key] = signs[prefix + key] * chart_sign(root, forms)
-    return SignAssignment(out)
-
-
 # ---------------------------------------------------------------------------
 # Nekrasov's identity
 
@@ -518,27 +512,11 @@ def nekrasov_report(orders, subst=None):
     )
 
 
-def check_nekrasov(order, subst=None, cache=None):
+def check_nekrasov(order, cache=None):
     """Solve order-by-order for DT vertex signs matching
     exp(q (l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3))) through q^order
-    inclusive (order 4 solves 1, 4, 10, 26 unknowns), in standard
-    coordinates; the report is transported to the chart ``subst``."""
-    return nekrasov_report(solve_nekrasov(order, cache), subst)
-
-
-def nekrasov_series(trunc, report=None, subst=None, cache=None):
-    """The empty DT vertex as a signed sum using the solved Nekrasov signs;
-    equals the exponential when the check passes."""
-    from .vertexcalc import dt_vertex_series
-
-    if report is None:
-        report = check_nekrasov(trunc - 1, subst=subst, cache=cache)
-    if not report.ok:
-        raise RuntimeError("Nekrasov signs do not exist at this order")
-    e = EMPTY_PP
-    return dt_vertex_series(
-        e, e, e, e, trunc, signs=report.witness, subst=subst, cache=cache
-    )
+    inclusive (order 4 solves 1, 4, 10, 26 unknowns)."""
+    return nekrasov_report(solve_nekrasov(order, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -556,23 +534,17 @@ class DtptSolve:
     orders: list
 
 
-def solve_dtpt(legs, trunc, nekrasov_signs, cache=None, max_branches=4096):
+def solve_dtpt(legs, trunc, cache=None):
     """Solve order-by-order, in standard coordinates, for joint DT and PT
-    vertex signs realizing Vtilde^DT = Vtilde^PT * V^DT_empty mod q^trunc,
-    with the empty-vertex signs ``nekrasov_signs`` (standard keys).
+    vertex signs realizing Vtilde^DT = Vtilde^PT * exp(qC) mod q^trunc.
 
     Each branch is a solution through the previous order; its children, in
     order, extend it by the sorted solutions of the next order.  The solve
     stops after the first order that no branch extends."""
     module = LegModule(legs)  # raises TooManyLegs for >= 3 non-empty legs
-
-    # coefficients of V^DT_empty with the Nekrasov signs
-    e = EMPTY_PP
-    c_terms = [[] for _ in range(trunc)]
-    for sp in enumerate_dt(e, e, e, e, trunc - 1):
-        key, root = dt_vertex_root(sp, cache=cache)
-        c_terms[sp.n_added()].append(root.expand().scale(nekrasov_signs[key]))
-    c = [lambdarat_sum(terms) for terms in c_terms]
+    if trunc < 1:
+        raise ValueError("order must be >= 0")
+    empty = qexp(nekrasov_rational(), trunc)
 
     lowest = SolidPartition(legs).renormalized_volume()
     dt_by_order = {n: [] for n in range(trunc)}
@@ -592,10 +564,10 @@ def solve_dtpt(legs, trunc, nekrasov_signs, cache=None, max_branches=4096):
         children = []
         rhs_of = []
         for pt_coeffs in branches:
-            # sum eps_dt a - sum eps_pt b = sum_{k>=1} c_k * PT_{n-k}
+            # sum eps_dt a - sum eps_pt b = sum_{k>=1} C^k/k! * PT_{n-k}
             rhs = LambdaRat.from_int(0)
             for k in range(1, n + 1):
-                rhs = rhs + c[k] * pt_coeffs[n - k]
+                rhs = rhs + empty.coefficient(k) * pt_coeffs[n - k]
             if terms:
                 sols = solve_signed_sum(terms, rhs, _reuse=state)
             else:
@@ -607,7 +579,7 @@ def solve_dtpt(legs, trunc, nekrasov_signs, cache=None, max_branches=4096):
                     [v.scale(-s) for v, s in zip(terms[o.n_dt:], eps[o.n_dt:])]
                 )
                 children.append(pt_coeffs + [pt_n])
-        if len(children) > max_branches:
+        if len(children) > MAX_BRANCHES:
             raise RuntimeError("sign-solution branching exceeded the bound")
         if not children:
             o.rhs = rhs_of
@@ -678,24 +650,13 @@ def dtpt_report(solve, subst=None):
     )
 
 
-def check_dtpt(lam, mu, nu, rho, trunc, nekrasov_signs=None, subst=None, cache=None,
-               max_branches=4096):
+def check_dtpt(lam, mu, nu, rho, trunc, cache=None):
     """Solve order-by-order for joint DT and PT vertex signs realizing
-    Vtilde^DT = Vtilde^PT * V^DT_empty mod q^trunc, with the empty-vertex
-    signs fixed to Nekrasov's unique solution.
+    Vtilde^DT = Vtilde^PT * exp(qC) mod q^trunc, whose empty-vertex factor
+    exp(qC) = V^DT_empty is the identity ``check_nekrasov`` verifies.
 
     Reports the full solution structure: per-order extension counts, the
     number of globally consistent assignments, and whether the solution set
-    is closed under global negation.  In a chart ``subst`` the given
-    empty-vertex signs are moved to standard coordinates, the identity is
-    solved there, and the report is transported back.
+    is closed under global negation.
     """
-    legs = (lam, mu, nu, rho)
-    LegModule(legs)  # raises TooManyLegs for >= 3 non-empty legs
-    if nekrasov_signs is None:
-        nek_report = check_nekrasov(trunc - 1, subst=subst, cache=cache)
-        if not nek_report.ok:
-            raise RuntimeError("no Nekrasov signs at the requested order")
-        nekrasov_signs = nek_report.witness
-    standard = standard_signs(nekrasov_signs, subst, trunc - 1, cache)
-    return dtpt_report(solve_dtpt(legs, trunc, standard, cache, max_branches), subst)
+    return dtpt_report(solve_dtpt((lam, mu, nu, rho), trunc, cache))

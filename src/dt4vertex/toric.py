@@ -51,12 +51,11 @@ from .ptconfig import BoxConfig, LegModule, enumerate_boxconfigs
 from .signsearch import (
     SignAssignment,
     dtpt_report,
+    nekrasov_rational_subst,
     nekrasov_report,
-    nekrasov_series,
     solve_dtpt,
     solve_nekrasov,
     solve_signed_sum,
-    standard_signs,
 )
 from .vertexcalc import (
     dt_character,
@@ -68,6 +67,7 @@ from .vertexcalc import (
     pt_vertex_series,
     sign_of,
     subst_key,
+    substitution_forms,
 )
 from .partitions import enumerate_dt
 
@@ -787,9 +787,8 @@ def chart_sign_reports(g, beta, trunc, cache=None):
     check fails ends the sequence.
 
     Every report is transported from a solve in standard coordinates (see
-    ``signsearch``).  Nekrasov is solved once, and each leg tuple once per
-    set of standard empty-vertex signs; the solves are kept for this call
-    only."""
+    ``signsearch``).  Nekrasov is solved once, and each leg tuple once; the
+    solves are kept for this call only."""
     empty = (EMPTY_PP,) * 4
     needs = _required_leg_tuples(g, beta)
     nek_solve = solve_nekrasov(trunc - 1, cache)
@@ -799,15 +798,13 @@ def chart_sign_reports(g, beta, trunc, cache=None):
         yield alpha, None, nek
         if not nek.ok:
             return
-        standard = standard_signs(nek.witness, cols, trunc - 1, cache)
         legs = sorted(
             needs[alpha] - {empty}, key=lambda Ls: tuple(pp.sort_key() for pp in Ls)
         )
         for L in legs:
-            memo = (L, tuple(standard.items()))
-            if memo not in solves:
-                solves[memo] = solve_dtpt(L, trunc, standard, cache)
-            yield alpha, L, dtpt_report(solves[memo], cols)
+            if L not in solves:
+                solves[L] = solve_dtpt(L, trunc, cache)
+            yield alpha, L, dtpt_report(solves[L], cols)
 
 
 def check_affine_implies_toric(g, beta, trunc, gammas=(), cache=None):
@@ -931,16 +928,14 @@ def local_curve_full_check(d_max, trunc, nn_max=None, cache=None):
                 failed_d.add(d)
 
     # Nekrasov factors of the two charts; I_0 = exp(q (c_0 + c_1)).  The
-    # signs are verified at desk order; the assembly only needs the q^1
-    # coefficient of each chart's empty vertex.
+    # signs are verified at desk order; once they are, each chart's empty
+    # vertex is exp(q c_alpha) with c_alpha its chart image of C.
     nek_solve = solve_nekrasov(min(4, trunc - 1), cache)
     c_total = LambdaRat.from_int(0)
-    for alpha in range(g.nverts()):
-        nek = nekrasov_report(nek_solve, g.charts[alpha])
-        if not nek.ok:
+    for alpha, cols in enumerate(g.charts):
+        if not nekrasov_report(nek_solve, cols).ok:
             raise NoConsistentSigns(f"no Nekrasov signs on chart {alpha}")
-        series = nekrasov_series(2, report=nek, subst=g.charts[alpha], cache=cache)
-        c_total = c_total + series.coefficient(1)
+        c_total = c_total + nekrasov_rational_subst(substitution_forms(cols))
 
     a, b = local_curve_closed_form_ab()
     bracket_match = (a + b) == c_total * lam2

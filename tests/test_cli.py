@@ -87,6 +87,17 @@ class TestVertexCommand:
         assert rc == 0
         assert "signs witness" in out
 
+    @pytest.mark.parametrize("name", ["missing.json", ""], ids=["missing", "directory"])
+    def test_unreadable_signs_file_is_usage_error(self, tmp_path, name):
+        path = tmp_path / name
+        rc, out = run(
+            ["vertex", "--flavor", "dt", "--legs", "[],[],[],[]", "--order", "2",
+             "--sign-policy", "file", "--signs-file", str(path), "--no-cache"]
+        )
+        assert rc == 2
+        assert out.startswith(f"error: cannot read signs file {str(path)!r}: ")
+        assert out.count("\n") == 1
+
 
 class TestCheckCommands:
     def test_nekrasov(self):
@@ -104,6 +115,11 @@ class TestCheckCommands:
     def test_dtpt(self):
         rc, out = run(["check", "dtpt", "--legs", "[[1]],[],[],[]", "--order", "3"])
         assert rc == 0
+
+    def test_dtpt_empty_legs_text_is_usage_error(self):
+        rc, out = run(["check", "dtpt", "--legs", "", "--order", "3"])
+        assert rc == 2
+        assert out == "error: expected four legs, got 1: ''\n"
 
     def test_localcurve(self):
         rc, out = run(["check", "localcurve", "--dmax", "1", "--order", "3"])

@@ -21,7 +21,6 @@ from dt4vertex.signsearch import (
     check_nekrasov,
     naive_signed_sum,
     nekrasov_rational,
-    nekrasov_series,
     solve_signed_sum,
 )
 from dt4vertex.vertexcalc import dt_vertex_root, dt_vertex_series
@@ -225,7 +224,7 @@ class TestNekrasov:
         assert rep.ok
         assert [o.n_unknowns for o in rep.orders] == [1, 1, 4, 10]
         assert rep.per_order_unique()
-        series = nekrasov_series(4, report=rep)
+        series = dt_vertex_series(E, E, E, E, 4, signs=rep.witness)
         assert series.eq_mod(qexp(nekrasov_rational(), 4))
 
     def test_wrong_root_has_no_solution(self):
@@ -277,6 +276,30 @@ class TestDTPT:
     def test_three_legs_rejected(self):
         with pytest.raises(TooManyLegs):
             check_dtpt(BOX, BOX, BOX, E, 3)
+
+    def test_branch_bound(self, monkeypatch):
+        # the empty legs have 2 global solutions from order 0 on
+        monkeypatch.setattr(signsearch, "MAX_BRANCHES", 1)
+        with pytest.raises(
+            RuntimeError, match="^sign-solution branching exceeded the bound$"
+        ):
+            check_dtpt(E, E, E, E, 3)
+
+    def test_empty_vertex_is_not_enumerated(self, monkeypatch):
+        # the right-hand side is exp(qC), so no empty-vertex root is needed
+        want = check_dtpt(BOX, E, E, E, 4).render_json()
+        real = signsearch.dt_vertex_root
+
+        def guarded(sp, subst=None, cache=None):
+            key, root = real(sp, subst, cache)
+            if key.startswith("dt:[],[],[],[];"):
+                raise AssertionError(f"empty-vertex root {key} requested")
+            return key, root
+
+        monkeypatch.setattr(signsearch, "dt_vertex_root", guarded)
+        rep = check_dtpt(BOX, E, E, E, 4)
+        assert rep.ok
+        assert rep.render_json() == want
 
     def test_witness_realizes_identity(self):
         rep = check_dtpt(BOX, E, E, E, 3)

@@ -379,12 +379,11 @@ class TestGlobalSeries:
     def test_p1p1_i0_is_one(self):
         # int_X c3^T = 0 for local P1xP1, so I_0 = 1 with Nekrasov signs
         g = preset_local_p1p1()
-        from dt4vertex.signsearch import check_nekrasov
-        from dt4vertex.signsearch import SignAssignment
+        from dt4vertex.signsearch import SignAssignment, nekrasov_report, solve_nekrasov
 
         signs = {}
         for alpha in range(g.nverts()):
-            rep = check_nekrasov(2, subst=g.charts[alpha])
+            rep = nekrasov_report(solve_nekrasov(2), g.charts[alpha])
             assert rep.ok
             signs.update(rep.witness.mapping)
         s = global_series(g, (0, 0), "dt", (), 3, signs=SignAssignment(signs))

@@ -14,15 +14,15 @@ from pathlib import Path
 
 import pytest
 
+from dt4vertex import signsearch
 from dt4vertex.exactalg import FactoredWeightProduct, qexp
 from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_dt
 from dt4vertex.ptconfig import LegModule, enumerate_boxconfigs
 from dt4vertex.signsearch import (
-    SignAssignment,
     chart_sign,
-    check_dtpt,
-    check_nekrasov,
+    dtpt_report,
     nekrasov_rational_subst,
+    solve_dtpt,
 )
 from dt4vertex.toric import (
     _required_leg_tuples,
@@ -32,12 +32,12 @@ from dt4vertex.toric import (
     preset_local_p2,
 )
 from dt4vertex.vertexcalc import (
+    SqrtEuler,
     dt_vertex_root,
     dt_vertex_series,
     pt_vertex_root,
     pt_vertex_series,
     relabel_root,
-    subst_key,
     substitution_forms,
 )
 
@@ -153,17 +153,24 @@ def test_chart_sign_is_the_sign_relabelling_drops(preset):
         assert flips  # the re-sort of transported solutions is exercised
 
 
-@pytest.mark.parametrize("case", DATA["planted_fail"], ids=lambda c: c["flip"])
-def test_planted_failure_transports_exactly(case):
-    # (d) a chart Nekrasov sign flipped: the failing order and residual are
-    # those of the direct chart solve
+@pytest.mark.parametrize("case", DATA["planted_fail"], ids=lambda c: c["scale"])
+def test_planted_failure_transports_exactly(case, monkeypatch):
+    # (d) one PT root scaled by 2: the failing order and residual are those
+    # of the direct chart solve
+    real = signsearch.pt_vertex_root
+
+    def planted(config, subst=None, cache=None):
+        key, root = real(config, subst, cache)
+        if config.key() == case["scale"]:
+            root = SqrtEuler(FactoredWeightProduct(1, 2) * root.value, root.parity)
+        return key, root
+
+    monkeypatch.setattr(signsearch, "pt_vertex_root", planted)
     cols = preset_local_p2().charts[1]
-    signs = dict(check_nekrasov(3, subst=cols).witness.mapping)
-    signs[subst_key(cols) + case["flip"]] *= -1
     box = PlanePartition([[1]])
     legs = {"[[1]],[],[],[]": (box, EMPTY_PP, EMPTY_PP, EMPTY_PP),
             "[],[[1]],[],[]": (EMPTY_PP, box, EMPTY_PP, EMPTY_PP)}[case["legs"]]
-    rep = check_dtpt(*legs, 4, nekrasov_signs=SignAssignment(signs), subst=cols)
+    rep = dtpt_report(solve_dtpt(legs, 4), cols)
     bad = next(o for o in rep.orders if o.n_solutions == 0)
     assert not rep.ok
     assert bad.order == case["order"]
