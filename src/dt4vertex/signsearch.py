@@ -16,6 +16,15 @@ correspondence Vtilde^DT = Vtilde^PT * exp(qC), whose empty-vertex factor
 ``check nekrasov`` verifies, so its right-hand side is a fixed series with
 no signs of its own.
 
+The DT/PT identity holds only up to the global orientation sign: if eps
+solves it, so does -eps.  After order 0 its branches therefore come in
+pairs whose right-hand sides are R and -R.  Since sum (-eps_i) a_i =
+-sum eps_i a_i, the solutions for -R are exactly those for R negated, so
+``solve_dtpt`` solves each such pair once and negates the answer for the
+mirror.  The first of each pair is still verified exactly, and the negated
+list is the full solution set of the mirror, so this keeps every solution
+set sound and complete.
+
 Identities are solved in standard coordinates only, and a chart's report is
 transported from that solve.  A chart substitution acts on linear forms as
 an invertible linear map A, a field automorphism of Q(l1, l2, l3).  The
@@ -118,7 +127,18 @@ class SignAssignment:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data.get("signs", {}), default=data.get("default"))
+        """The inverse of ``to_json``; raises ValueError unless the document
+        and its ``signs`` field are JSON objects."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a sign assignment must be a JSON object, got {type(data).__name__}"
+            )
+        signs = data.get("signs", {})
+        if not isinstance(signs, dict):
+            raise ValueError(
+                f"'signs' must be a JSON object, got {type(signs).__name__}"
+            )
+        return cls(signs, default=data.get("default"))
 
     def __repr__(self):
         return f"SignAssignment({len(self.mapping)} keys, default={self.default})"
@@ -534,16 +554,31 @@ class DtptSolve:
     orders: list
 
 
+def _rat_key(r):
+    """A hashable key of the normal form of a LambdaRat.  The normal form
+    is unique, so equal keys mean equal values."""
+    return tuple(sorted(r.num.items())), r.scalar, tuple(sorted(r.factors.items()))
+
+
 def solve_dtpt(legs, trunc, cache=None):
     """Solve order-by-order, in standard coordinates, for joint DT and PT
     vertex signs realizing Vtilde^DT = Vtilde^PT * exp(qC) mod q^trunc.
 
     Each branch is a solution through the previous order; its children, in
     order, extend it by the sorted solutions of the next order.  The solve
-    stops after the first order that no branch extends."""
+    stops after the first order that no branch extends.
+
+    Within an order, all branches share the terms and differ only in the
+    right-hand side.  A right-hand side equal to one already solved at that
+    order reuses its solutions, and one equal to its negation reuses them
+    negated and re-sorted: sum (-eps_i) a_i = -sum eps_i a_i, so that is
+    the whole solution set of the mirrored equation, and every solution
+    list stays the one ``solve_signed_sum`` would return.  By the global
+    orientation sign the branches come in such +- pairs, so every order
+    after the first solves, and checks the candidates of, half of them."""
     module = LegModule(legs)  # raises TooManyLegs for >= 3 non-empty legs
     if trunc < 1:
-        raise ValueError("order must be >= 0")
+        raise ValueError("order must be >= 1")
     empty = qexp(nekrasov_rational(), trunc)
 
     lowest = SolidPartition(legs).renormalized_volume()
@@ -563,15 +598,23 @@ def solve_dtpt(legs, trunc, cache=None):
         state = _solver_state(terms) if terms else None
         children = []
         rhs_of = []
+        # the sorted solutions of each right-hand side solved at this order
+        solved = {}
         for pt_coeffs in branches:
             # sum eps_dt a - sum eps_pt b = sum_{k>=1} C^k/k! * PT_{n-k}
             rhs = LambdaRat.from_int(0)
             for k in range(1, n + 1):
                 rhs = rhs + empty.coefficient(k) * pt_coeffs[n - k]
-            if terms:
+            key = _rat_key(rhs)
+            if key in solved:
+                sols = solved[key]
+            elif (mirror := _rat_key(-rhs)) in solved:
+                sols = sorted(tuple(-e for e in eps) for eps in solved[mirror])
+            elif terms:
                 sols = solve_signed_sum(terms, rhs, _reuse=state)
             else:
                 sols = [()] if rhs.is_zero() else []
+            solved[key] = sols
             o.solutions.append(sols)
             rhs_of.append(rhs)
             for eps in sols:

@@ -4,12 +4,15 @@ Tolerances are exact equality of rational functions throughout; nothing is
 deferred to later calibration.
 """
 
+import hashlib
 import io
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import dt4vertex
 from dt4vertex.cli import main
@@ -50,6 +53,14 @@ from dt4vertex.vertexcalc import (
 
 E = EMPTY_PP
 
+DTPT_REPORTS = json.loads(
+    (Path(__file__).parent / "data" / "dtpt_reports.json").read_text()
+)
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def report(criterion, ok, detail=""):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}"
@@ -87,15 +98,23 @@ class TestCriterion1Nekrasov:
 
 class TestCriterion2DTPT:
     def test_legs_up_to_2_mod_q4(self):
+        # each report must also match, byte for byte, the SHA-256 recorded
+        # in data/dtpt_reports.json
         failures = []
+        hashes = []
         for legs in leg_tuples(2):
             rep = check_dtpt(*legs, 4)
+            name = ",".join(pp.render() for pp in legs)
             if not (rep.ok and rep.closed_under_negation):
-                failures.append(",".join(pp.render() for pp in legs))
+                failures.append(name)
+            hashes.append([name, sha(rep.render_json()), sha(rep.to_text())])
+        want = DTPT_REPORTS["reports"]
+        changed = [h[0] for h in hashes if h not in want]
         report(
             "2a dtpt |legs|<=2 mod q^4",
-            not failures,
-            f"{len(leg_tuples(2))} leg configurations",
+            not failures and hashes == want,
+            f"{len(hashes)} leg configurations"
+            + (f", reports changed: {changed}" if changed else ""),
         )
 
     def test_legs_up_to_3_mod_q3(self):

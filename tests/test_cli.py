@@ -98,6 +98,24 @@ class TestVertexCommand:
         assert out.startswith(f"error: cannot read signs file {str(path)!r}: ")
         assert out.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[1, 2]", "a sign assignment must be a JSON object, got list"),
+            ('{"signs": [1]}', "'signs' must be a JSON object, got list"),
+        ],
+        ids=["document-list", "signs-list"],
+    )
+    def test_malformed_signs_file_is_usage_error(self, tmp_path, doc, message):
+        path = tmp_path / "signs.json"
+        path.write_text(doc)
+        rc, out = run(
+            ["vertex", "--flavor", "dt", "--legs", "[],[],[],[]", "--order", "2",
+             "--sign-policy", "file", "--signs-file", str(path), "--no-cache"]
+        )
+        assert rc == 2
+        assert out == f"error: {message}\n"
+
 
 class TestCheckCommands:
     def test_nekrasov(self):
@@ -120,6 +138,12 @@ class TestCheckCommands:
         rc, out = run(["check", "dtpt", "--legs", "", "--order", "3"])
         assert rc == 2
         assert out == "error: expected four legs, got 1: ''\n"
+
+    def test_dtpt_order_zero_is_usage_error(self):
+        # --order is the truncation N of mod q^N
+        rc, out = run(["check", "dtpt", "--legs", "[[1]],[],[],[]", "--order", "0"])
+        assert rc == 2
+        assert out == "error: order must be >= 1\n"
 
     def test_localcurve(self):
         rc, out = run(["check", "localcurve", "--dmax", "1", "--order", "3"])

@@ -21,6 +21,7 @@ from dt4vertex.signsearch import (
     check_nekrasov,
     naive_signed_sum,
     nekrasov_rational,
+    solve_dtpt,
     solve_signed_sum,
 )
 from dt4vertex.vertexcalc import dt_vertex_root, dt_vertex_series
@@ -53,6 +54,33 @@ def rich_term(rng):
            for _ in range(3)}
     f = (rng.randint(1, 3), rng.randint(-2, 2), rng.randint(0, 2))
     return LambdaRat(num, 1, {(1, 1, 1): 1}) * inverse_form(f)
+
+
+def unshared_solutions(solve):
+    """Every ``OrderSolve.solutions`` list of a DT/PT solve, rebuilt by
+    solving each branch's own right-hand side from scratch, with nothing
+    shared between branches."""
+    empty = qexp(nekrasov_rational(), solve.trunc)
+    branches = [[]]  # each branch: its PT coefficient values, order by order
+    out = []
+    for n, o in enumerate(solve.orders):
+        terms = [r.expand() for r in o.roots]
+        per_parent = []
+        children = []
+        for pt in branches:
+            rhs = lambdarat_sum(
+                [empty.coefficient(k) * pt[n - k] for k in range(1, n + 1)]
+            )
+            sols = solve_signed_sum(terms, rhs)
+            per_parent.append(sols)
+            for eps in sols:
+                pt_n = lambdarat_sum(
+                    [b.scale(-e) for b, e in zip(terms[o.n_dt:], eps[o.n_dt:])]
+                )
+                children.append(pt + [pt_n])
+        out.append(per_parent)
+        branches = children
+    return out
 
 
 def planted(rng, terms):
@@ -300,6 +328,31 @@ class TestDTPT:
         rep = check_dtpt(BOX, E, E, E, 4)
         assert rep.ok
         assert rep.render_json() == want
+
+    def test_mirrored_branches_are_solved_once(self, monkeypatch):
+        # one branch at order 0, then the pair P, -P at orders 1-3: one
+        # solve per order, where solving every branch would take 7
+        calls = []
+        real = signsearch.solve_signed_sum
+
+        def counted(terms, target, _reuse=None):
+            calls.append(target)
+            return real(terms, target, _reuse)
+
+        monkeypatch.setattr(signsearch, "solve_signed_sum", counted)
+        rep = check_dtpt(BOX, E, E, E, 4)
+        assert rep.ok and rep.n_global_solutions == 2
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "legs",
+        [(BOX, E, E, BOX), (PlanePartition([[1, 1]]), E, E, E)],
+        ids=["two-one-box-legs", "one-two-box-leg"],
+    )
+    def test_reused_solutions_match_unshared_solves(self, legs):
+        solve = solve_dtpt(legs, 3)
+        assert [len(o.solutions) for o in solve.orders] == [1, 2, 2]
+        assert [o.solutions for o in solve.orders] == unshared_solutions(solve)
 
     def test_witness_realizes_identity(self):
         rep = check_dtpt(BOX, E, E, E, 3)
