@@ -306,6 +306,8 @@ def _dispatch(args, out):
                 use_cache=args.use_cache and not args.no_cache,
                 as_json=args.json,
             )
+            if cfg.order < 1:
+                raise ValueError("order must be >= 1")
             if cfg.flavor == "pt":
                 nonempty = sum(1 for pp in cfg.legs if not pp.is_empty())
                 if nonempty > 2:

@@ -29,6 +29,10 @@ Form = tuple    # 3-tuple of ints, the coefficients of c1*l1+c2*l2+c3*l3
 
 ONE4 = (1, 1, 1, 1)
 
+# the prime of all modular arithmetic: the sign solver's evaluations and the
+# trial-division screen of ``_cancel_forms``
+PRIME = (1 << 61) - 1
+
 
 # ---------------------------------------------------------------------------
 # dict kernels: Laurent polynomials in t1..t4 map 4-tuples of exponents to
@@ -606,6 +610,87 @@ def poly_div_linear(p, form):
     return out
 
 
+def poly_lift_add(n1, forms1, n2, forms2):
+    """n1 * prod(forms1) + n2 * prod(forms2) for integer polynomials n1, n2
+    and lists of linear forms, by Kronecker substitution.
+
+    Each homogeneous component of degree t becomes one signed-digit int
+    holding the coefficient of l1^a l2^b l3^(t-a-b) in slot a + b*S of w
+    bits, that is its value at l1 = 2^w, l2 = 2^(w*S), l3 = 1.  Multiplying
+    by c1*l1 + c2*l2 + c3*l3 is then c1*(x << w) + c2*(x << w*S) + c3*x and
+    raises the degree by one.  S exceeds every lifted degree, and 2^(w-1)
+    exceeds ||n1||_1 * prod ||f||_1 + ||n2||_1 * prod ||g||_1, which bounds
+    every coefficient of the result, so the slots of the sum decode exactly.
+    """
+    addends = [(n, forms) for n, forms in ((n1, forms1), (n2, forms2)) if n]
+    bound = top = 0
+    for n, forms in addends:
+        b = sum(map(abs, n.values()))
+        for f in forms:
+            b *= abs(f[0]) + abs(f[1]) + abs(f[2])
+        bound += b
+        top = max(top, max(map(sum, n)) + len(forms))
+    size = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
+    w = 8 * size
+    stride = top + 1
+    ws = w * stride
+    total = {}
+    for n, forms in addends:
+        for t, x in _pack(n, stride, size).items():
+            for c1, c2, c3 in forms:
+                y = c3 * x if c3 else 0
+                if c1:
+                    y += c1 * (x << w)
+                if c2:
+                    y += c2 * (x << ws)
+                x = y
+            t += len(forms)
+            total[t] = total.get(t, 0) + x
+    out = {}
+    for t, x in total.items():
+        _unpack(x, t, stride, size, out)
+    return out
+
+
+def _pack(p, stride, size):
+    """The homogeneous components of p as packed ints, keyed by degree:
+    slot a + b*stride of ``size`` bytes holds the coefficient of
+    l1^a l2^b l3^(t-a-b)."""
+    slots = {}
+    for (a, b, c), k in p.items():
+        slots.setdefault(a + b + c, []).append((a + b * stride, k))
+    out = {}
+    for t, items in slots.items():
+        pos = bytearray((t * stride + 1) * size)
+        neg = bytearray(len(pos))
+        for i, k in items:
+            buf = pos if k > 0 else neg
+            buf[i * size:(i + 1) * size] = abs(k).to_bytes(size, "little")
+        out[t] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return out
+
+
+def _unpack(x, t, stride, size, out):
+    """Store in ``out`` the nonzero coefficients of the degree-t component
+    packed in x.  Adding 2^(w-1) to each slot a + b*stride with a + b <= t
+    makes every digit of those slots non-negative, so they read off the
+    bytes; the other slots are not offset and are never read."""
+    half = 1 << (8 * size - 1)
+    one, zero = half.to_bytes(size, "little"), bytes(size)
+    offset = int.from_bytes(
+        b"".join(one * (t - b + 1) + zero * (stride - t + b - 1) for b in range(t + 1)),
+        "little",
+    )
+    data = memoryview((x + offset).to_bytes((t * stride + 1) * size, "little"))
+    for b in range(t + 1):
+        i = b * stride * size
+        for a in range(t - b + 1):
+            k = int.from_bytes(data[i:i + size], "little") - half
+            if k:
+                out[a, b, t - a - b] = k
+            i += size
+
+
 def poly_substitute(p, forms):
     """p(forms[0], forms[1], forms[2]) for linear forms (c1, c2, c3), by
     Horner's rule in l1, then in l2 and l3 for each coefficient."""
@@ -659,19 +744,74 @@ def _expand_product(c, factors):
 def _cancel_forms(num, factors, forms):
     """Divide num by each form p of ``forms`` while exact, at most
     factors[p] times, and lower factors[p] in place to the exponent left
-    over, deleting it at 0; returns the quotient."""
-    for p in forms:
-        e = factors[p]
-        while e and num:
+    over, deleting it at 0; returns the quotient.
+
+    A form is trial-divided only if num vanishes modulo PRIME at one point
+    of its plane (``_screen``): a nonzero value proves that it does not
+    divide num, nor any quotient of num.  So the surviving forms are
+    screened again only after a division succeeds."""
+    while num and forms:
+        forms = _screen(num, forms)
+        for i, p in enumerate(forms):
             q = poly_div_linear(num, p)
-            if q is None:
+            if q is not None:
                 break
-            num, e = q, e - 1
-        if e:
-            factors[p] = e
+        else:
+            break
+        num = q
+        if factors[p] > 1:
+            factors[p] -= 1
+            forms = forms[i:]
         else:
             del factors[p]
+            forms = forms[i + 1:]
     return num
+
+
+# a point (l1, l2, l3) mod PRIME; for each pivot axis its other two
+# coordinates fix the point of a form's plane at which ``_screen`` evaluates.
+# Any point is sound: one where num happens to vanish only leaves the
+# decision to the exact division.
+_SCREEN_POINT = (1442695040888963407, 2305843009213693921, 1181783497276652981)
+
+
+def _screen(num, forms):
+    """The forms of ``forms`` on whose plane num vanishes modulo PRIME at
+    the point whose other coordinates are those of _SCREEN_POINT; every
+    form dividing num is among them.  num is reduced once per pivot axis
+    (the first nonzero coefficient of a form) to a univariate polynomial
+    mod PRIME, and each form costs one Horner evaluation."""
+    rows = {}
+    keep = []
+    for f in forms:
+        axis = 0 if f[0] else (1 if f[1] else 2)
+        row = rows.get(axis)
+        if row is None:
+            row = rows[axis] = _restrict(num, axis)
+        rest = sum(c * v for i, (c, v) in enumerate(zip(f, _SCREEN_POINT)) if i != axis)
+        x = -rest * pow(f[axis], -1, PRIME) % PRIME
+        v = 0
+        for c in row:
+            v = (v * x + c) % PRIME
+        if not v:
+            keep.append(f)
+    return keep
+
+
+def _restrict(num, axis):
+    """The coefficients mod PRIME, highest first, of num as a polynomial in
+    l_(axis+1) with the other two variables set to their _SCREEN_POINT
+    coordinates."""
+    j, k = [i for i in range(3) if i != axis]
+    pj, pk = [1], [1]
+    for _ in range(max(map(sum, num))):
+        pj.append(pj[-1] * _SCREEN_POINT[j] % PRIME)
+        pk.append(pk[-1] * _SCREEN_POINT[k] % PRIME)
+    coeffs = {}
+    for m, c in num.items():
+        e = m[axis]
+        coeffs[e] = coeffs.get(e, 0) + c * pj[m[j]] * pk[m[k]]
+    return [coeffs.get(e, 0) % PRIME for e in range(max(coeffs), -1, -1)]
 
 
 def _drop_content(num, scalar):
@@ -694,6 +834,10 @@ class LambdaRat:
     first read.  Division is by units (``inv``) or, for any product of
     linear forms, by multiplying with ``(FactoredWeightProduct **
     -1).expand()``.
+
+    A sum lifts both numerators to the common denominator as packed
+    integers (``poly_lift_add``) and trial-divides only the forms that a
+    screen modulo PRIME cannot rule out (``_cancel_forms``).
     """
 
     __slots__ = ("num", "scalar", "factors", "_den")
@@ -744,7 +888,8 @@ class LambdaRat:
         whose exponent differs between the addends cannot divide the sum:
         modulo that prime the sum is the lifted numerator of the addend
         with the higher power, a product of factors prime to it.  So only
-        the forms with equal exponents are trial-divided."""
+        the forms with equal exponents are trial-divided.  The numerators
+        are lifted and added in one ``poly_lift_add``."""
         if isinstance(other, int):
             other = LambdaRat.from_int(other)
         if not self.num:
@@ -754,20 +899,19 @@ class LambdaRat:
         s1, f1 = self.scalar, self.factors
         s2, f2 = other.scalar, other.factors
         g = gcd(s1, s2)
-        n1 = poly_scale(self.num, s2 // g)
-        n2 = poly_scale(other.num, s1 // g)
         lf = {}
-        shared = []
+        lift1, lift2, shared = [], [], []
         for p in sorted(set(f1) | set(f2)):
             e1, e2 = f1.get(p, 0), f2.get(p, 0)
-            for _ in range(e2 - e1):
-                n1 = poly_linear_mul(n1, p)
-            for _ in range(e1 - e2):
-                n2 = poly_linear_mul(n2, p)
+            lift1 += [p] * (e2 - e1)
+            lift2 += [p] * (e1 - e2)
             lf[p] = max(e1, e2)
             if e1 == e2:
                 shared.append(p)
-        num = _cancel_forms(poly_add(n1, n2), lf, shared)
+        num = poly_lift_add(
+            poly_scale(self.num, s2 // g), lift1, poly_scale(other.num, s1 // g), lift2
+        )
+        num = _cancel_forms(num, lf, shared)
         if not num:
             return LambdaRat.from_int(0)
         num, scalar = _drop_content(num, s1 // g * s2)

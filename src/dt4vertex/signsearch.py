@@ -3,11 +3,12 @@
 Each q-order of a vertex identity is a constraint sum_i eps_i a_i = target
 with eps_i in {+1,-1} and a_i exact rational functions.  The solver writes
 eps_i = 1 - 2 x_i, evaluates the terms and the target at a fixed sequence
-of points modulo the prime 2^61 - 1 and row-reduces the resulting linear system in
-the x_i.  Every true solution satisfies every evaluated row, so the 0/1
-solutions of the system, found by enumerating its kernel, include all of
-them; each of these candidates is then verified with exact arithmetic.  The
-reported solution sets are therefore both sound and complete.
+of points modulo the prime ``exactalg.PRIME`` = 2^61 - 1 and row-reduces
+the resulting linear system in the x_i.  Every true solution satisfies
+every evaluated row, so the 0/1 solutions of the system, found by
+enumerating its kernel, include all of them; each of these candidates is
+then verified with exact arithmetic.  The reported solution sets are
+therefore both sound and complete.
 
 Two identities are solved.  ``check nekrasov`` decides Nekrasov's formula
 V^DT_empty = exp(qC), C = (l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3)),
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import (
+    PRIME,
     FactoredWeightProduct,
     LambdaRat,
     evaluate_all_mod,
@@ -63,9 +65,6 @@ MAX_UNKNOWNS = 40
 MAX_KERNEL_DIM = 20
 # global sign solutions of the DT/PT identity kept through one order
 MAX_BRANCHES = 4096
-
-# the prime 2^61 - 1 of the solver's modular rows
-_PRIME = (1 << 61) - 1
 
 
 class MissingSign(KeyError):
@@ -149,7 +148,7 @@ class SignAssignment:
 
 
 def _evaluation_points():
-    """The fixed sequence of points (l1, l2, l3) mod _PRIME that rows are
+    """The fixed sequence of points (l1, l2, l3) mod PRIME that rows are
     evaluated at: coordinates from the SplitMix64 generator with seed 0, so
     the points are generic and depend on neither the hash seed nor the
     Python version."""
@@ -161,7 +160,7 @@ def _evaluation_points():
             state = (state + 0x9E3779B97F4A7C15) & mask
             z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
             z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-            point.append((z ^ (z >> 31)) % _PRIME)
+            point.append((z ^ (z >> 31)) % PRIME)
         yield tuple(point)
 
 
@@ -182,7 +181,7 @@ def _solver_state(terms):
     points, rows = [], []
     for _ in range(2):
         batch = list(itertools.islice(source, k + 2 - len(points)))
-        for point, *row in zip(batch, *evaluate_all_mod(terms, batch, _PRIME)):
+        for point, *row in zip(batch, *evaluate_all_mod(terms, batch, PRIME)):
             if None not in row:
                 points.append(point)
                 rows.append(row)
@@ -190,7 +189,7 @@ def _solver_state(terms):
 
 
 def _row_reduce(system, k):
-    """Gauss-Jordan elimination mod _PRIME of augmented rows with k
+    """Gauss-Jordan elimination mod PRIME of augmented rows with k
     unknowns: (pivot columns, reduced rows with a 1 at their pivot), or
     None when the system is inconsistent."""
     rows = [list(r) for r in system]
@@ -202,13 +201,13 @@ def _row_reduce(system, k):
             continue
         rows[r], rows[i] = rows[i], rows[r]
         # the entries of rows[r] left of col are 0, so each update starts at col
-        inv = pow(rows[r][col], -1, _PRIME)
-        tail = [v * inv % _PRIME for v in rows[r][col:]]
+        inv = pow(rows[r][col], -1, PRIME)
+        tail = [v * inv % PRIME for v in rows[r][col:]]
         rows[r][col:] = tail
         for i, row in enumerate(rows):
             f = row[col]
             if f and i != r:
-                row[col:] = [(a - f * b) % _PRIME for a, b in zip(row[col:], tail)]
+                row[col:] = [(a - f * b) % PRIME for a, b in zip(row[col:], tail)]
         pivots.append(col)
     if any(row[k] for row in rows[len(pivots):]):
         return None
@@ -235,7 +234,7 @@ def _binary_solutions(pivots, rows, k):
             sign = 1 if x[c] else -1
             x[c] ^= 1
             for r, coef in columns[j]:
-                vals[r] = (vals[r] + sign * coef) % _PRIME
+                vals[r] = (vals[r] + sign * coef) % PRIME
         if all(v in (0, 1) for v in vals):
             for col, v in zip(pivots, vals):
                 x[col] = v
@@ -259,10 +258,10 @@ def solve_signed_sum(terms, target, _reuse=None):
     if k == 0:
         return [()] if target.is_zero() else []
     points, rows = _solver_state(terms) if _reuse is None else _reuse
-    half = pow(2, -1, _PRIME)
+    half = pow(2, -1, PRIME)
     system = [
-        row + [(sum(row) - t) * half % _PRIME]
-        for row, t in zip(rows, evaluate_all_mod([target], points, _PRIME)[0])
+        row + [(sum(row) - t) * half % PRIME]
+        for row, t in zip(rows, evaluate_all_mod([target], points, PRIME)[0])
         if t is not None
     ]
     reduced = _row_reduce(system, k)

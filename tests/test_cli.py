@@ -117,6 +117,33 @@ class TestVertexCommand:
         assert out == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize("policy", ["canonical", "solve", "file"])
+    @pytest.mark.parametrize("flavor", ["dt", "pt"])
+    @pytest.mark.parametrize("legs", ["[],[],[],[]", "[[1]],[],[],[]"], ids=["empty", "one-box"])
+    def test_order_below_one_is_usage_error(self, monkeypatch, legs, flavor, policy, order):
+        import dt4vertex.cli as cli
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("enumerated or solved before the order check")
+
+        for name in ("check_nekrasov", "check_dtpt", "dt_vertex_series", "pt_vertex_series"):
+            monkeypatch.setattr(cli, name, untouched)
+        rc, out = run(
+            ["vertex", "--flavor", flavor, "--legs", legs, "--order", order,
+             "--sign-policy", policy, "--signs-file", "missing.json", "--no-cache"]
+        )
+        assert (rc, out) == (2, "error: order must be >= 1\n")
+
+    def test_order_one_is_accepted(self):
+        rc, out = run(
+            ["vertex", "--flavor", "pt", "--legs", "[],[],[],[]", "--order", "1",
+             "--sign-policy", "solve", "--no-cache"]
+        )
+        assert rc == 0
+        assert "series: (1) + O(q^1)" in out
+
+
 class TestCheckCommands:
     def test_nekrasov(self):
         rc, out = run(["check", "nekrasov", "--order", "2"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dt4vertex.exactalg import (
+    PRIME,
     DivisionNotUnit,
     FactoredWeightProduct,
     LambdaRat,
@@ -20,12 +21,16 @@ from dt4vertex.exactalg import (
     lambdarat_sum,
     poly_add,
     poly_from_form,
+    poly_lift_add,
+    poly_linear_mul,
     poly_mul,
+    poly_neg,
     poly_scale,
     qexp,
     tchar_reduce,
     weight_form,
 )
+from dt4vertex.exactalg import _cancel_forms, _screen
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -183,6 +188,147 @@ class TestPolyDivLinear:
     def test_inexact_returns_none(self):
         assert poly_div_linear({(0, 0, 0): 1}, (1, 0, 0)) is None
         assert poly_div_linear({(1, 0, 0): 1, (0, 0, 0): 1}, (1, 1, 0)) is None
+
+
+def random_poly(rng, nterms, deg=4, coeff=9):
+    """A random integer polynomial, in general not homogeneous."""
+    p = {}
+    for _ in range(nterms):
+        m = tuple(rng.randint(0, deg) for _ in range(3))
+        p[m] = p.get(m, 0) + rng.randint(-coeff, coeff)
+    return {m: c for m, c in p.items() if c}
+
+
+def lift_chain(p, forms):
+    for f in forms:
+        p = poly_linear_mul(p, f)
+    return p
+
+
+def lift_add_reference(n1, forms1, n2, forms2):
+    return poly_add(lift_chain(n1, forms1), lift_chain(n2, forms2))
+
+
+# forms with zero and negative coefficients and a non-unit lead
+LIFT_FORMS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (0, 1, -1),
+              (1, 1, 1), (2, 1, 0), (1, -2, 3), (3, 0, -1), (0, 2, 1)]
+
+
+class TestPolyLiftAdd:
+    def test_matches_dict_lifting_random(self):
+        rng = random.Random(101)
+        for _ in range(300):
+            n1 = random_poly(rng, rng.randint(0, 10), coeff=rng.choice([1, 9, 10**30]))
+            n2 = random_poly(rng, rng.randint(0, 10), coeff=rng.choice([1, 9, 10**30]))
+            forms1 = [rng.choice(LIFT_FORMS) for _ in range(rng.randint(0, 6))]
+            forms2 = [rng.choice(LIFT_FORMS) for _ in range(rng.randint(0, 6))]
+            assert poly_lift_add(n1, forms1, n2, forms2) == lift_add_reference(
+                n1, forms1, n2, forms2
+            )
+
+    def test_empty_addends_and_constants(self):
+        rng = random.Random(103)
+        n = random_poly(rng, 6)
+        forms = [(2, 1, 0), (1, -1, 0), (0, 0, 1)]
+        assert poly_lift_add({}, [], {}, []) == {}
+        assert poly_lift_add({}, forms, {}, forms) == {}
+        assert poly_lift_add(n, forms, {}, forms) == lift_chain(n, forms)
+        assert poly_lift_add({}, [], n, forms) == lift_chain(n, forms)
+        assert poly_lift_add(n, [], {}, []) == n
+        assert poly_lift_add({(0, 0, 0): 5}, [], {(0, 0, 0): -7}, []) == {(0, 0, 0): -2}
+        assert poly_lift_add({(0, 0, 0): 3}, [(2, 1, 0)], {(0, 0, 0): -1}, []) == {
+            (1, 0, 0): 6, (0, 1, 0): 3, (0, 0, 0): -1
+        }
+
+    def test_sum_cancelling_to_zero(self):
+        rng = random.Random(107)
+        for _ in range(50):
+            n = random_poly(rng, rng.randint(1, 8))
+            f = [rng.choice(LIFT_FORMS) for _ in range(rng.randint(0, 3))]
+            g = [rng.choice(LIFT_FORMS) for _ in range(rng.randint(0, 3))]
+            # n*f * g - (n*g) * f
+            assert poly_lift_add(lift_chain(n, f), g, poly_neg(lift_chain(n, g)), f) == {}
+
+    @pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 64, 120, 128])
+    def test_coefficients_at_the_slot_bound(self, bits):
+        # the bound ||n1||_1 prod ||f||_1 + ||n2||_1 prod ||g||_1 is attained:
+        # one monomial per addend and forms with one nonzero coefficient
+        for bound in ((1 << bits) - 1, 1 << bits, (1 << bits) + 1):
+            half = bound // 2
+            for n1, forms1, n2, forms2 in [
+                ({(1, 0, 2): half}, [], {(1, 0, 2): bound - half}, []),
+                ({(1, 0, 2): -half}, [], {(1, 0, 2): half - bound}, []),
+                ({(0, 1, 0): half}, [(0, 0, 1)], {(0, 1, 1): bound - half}, []),
+                ({(2, 0, 0): 1}, [(0, -1, 0)], {(0, 0, 0): -(bound - 1)}, [(0, 0, 1)] * 3),
+                ({(0, 0, 0): 1}, [(half, 0, 0)], {(1, 0, 0): bound - half}, []),
+            ]:
+                got = poly_lift_add(n1, forms1, n2, forms2)
+                assert got == lift_add_reference(n1, forms1, n2, forms2)
+                assert max(abs(c) for c in got.values()) in (bound, bound - 1)
+        # and where the result has only small coefficients
+        n1 = {(0, 0, 0): (1 << bits) - 1, (1, 0, 0): 1}
+        n2 = {(0, 0, 0): 1 - (1 << bits), (0, 1, 0): 1}
+        assert poly_lift_add(n1, [], n2, []) == {(1, 0, 0): 1, (0, 1, 0): 1}
+
+
+# primitive positive-lead forms whose pivot is l1, l2 or l3
+PIVOT_FORMS = {
+    0: [(1, 0, 0), (1, 1, 0), (1, -1, 0), (2, 1, 0), (1, 2, -3), (3, 0, 1), (1, 1, 1)],
+    1: [(0, 1, 0), (0, 1, 1), (0, 1, -1), (0, 2, 3), (0, 3, -2)],
+    2: [(0, 0, 1)],
+}
+
+
+class TestTrialDivisionScreen:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_planted_powers_are_removed(self, axis):
+        rng = random.Random(109 + axis)
+        for f in PIVOT_FORMS[axis]:
+            for k in range(1, 4):
+                for _ in range(8):
+                    q = random_poly(rng, rng.randint(1, 8))
+                    while poly_div_linear(q, f) is not None:
+                        q = random_poly(rng, rng.randint(1, 8))
+                    extra = rng.randint(0, 2)
+                    other = rng.choice(PIVOT_FORMS[(axis + 1) % 3])
+                    factors = {f: k + extra, other: 1}
+                    num = lift_chain(q, [f] * k)
+                    assert f in _screen(num, [f, other])
+                    got = _cancel_forms(num, factors, sorted(factors))
+                    assert poly_div_linear(got, f) is None
+                    if poly_div_linear(q, other) is None:
+                        assert got == q
+                        assert factors == ({f: extra, other: 1} if extra else {other: 1})
+
+    def test_rejections_agree_with_exact_division(self):
+        rng = random.Random(113)
+        forms = sorted(f for fs in PIVOT_FORMS.values() for f in fs)
+        rejected = kept = 0
+        for _ in range(200):
+            num = random_poly(rng, rng.randint(1, 12))
+            for _ in range(rng.randint(0, 3)):
+                num = poly_linear_mul(num, rng.choice(forms))
+            if not num:
+                continue
+            screened = _screen(num, forms)
+            assert screened == [f for f in forms if f in screened]
+            for f in forms:
+                if f in screened:
+                    kept += 1
+                else:
+                    rejected += 1
+                    assert poly_div_linear(num, f) is None
+        assert rejected and kept
+
+    def test_large_coefficients(self):
+        # coefficients far above PRIME reduce before the evaluation
+        f = (2, 1, 0)
+        q = {(3, 0, 0): PRIME * 5 + 1, (0, 2, 1): -(PRIME ** 2), (0, 0, 0): 7}
+        num = lift_chain(q, [f, f])
+        factors = {f: 3}
+        assert _cancel_forms(num, factors, [f]) == q
+        assert factors == {f: 1}
+        assert _screen({(0, 0, 0): PRIME}, [f]) == [f]
 
 
 class TestLambdaRat:

@@ -6,6 +6,7 @@ import pytest
 
 from dt4vertex import signsearch
 from dt4vertex.exactalg import (
+    PRIME,
     FactoredWeightProduct,
     LambdaRat,
     evaluate_all_mod,
@@ -184,7 +185,7 @@ class TestSolveSignedSum:
         eps, target = planted(rng, terms)
         pole = (1, 2, 3)
         off_pole = target + inverse_form(pole)
-        mod = signsearch._PRIME
+        mod = PRIME
         # first a point that zeroes the factor l1 + l2 + l3 of the target
         # (and of every term), then two where only off_pole's pole vanishes
         third = pow(3, -1, mod)
