@@ -12,10 +12,8 @@ from .exactalg import (
     LambdaRat,
     NotPolynomial,
     QSeries,
-    TChar,
     TLaurent,
     bar_involution,
-    tchar_reduce,
     weight_form,
 )
 from .partitions import (
@@ -60,7 +58,6 @@ from .vertexcalc import (
     pt_vertex_series,
     redistribute_edge,
     redistribute_vertex,
-    vertex_prelim,
 )
 
 __version__ = "0.1.0"

@@ -328,6 +328,14 @@ def _dispatch(args, out):
                 use_cache=args.use_cache,
                 as_json=args.json,
             )
+            if args.target in ("global", "localcurve") and cfg.order < 1:
+                raise ValueError("order must be >= 1")
+            if any(b < 0 for b in cfg.beta):
+                raise ValueError("beta components must be >= 0")
+            if cfg.d_max < 0:
+                raise ValueError("dmax must be >= 0")
+            if cfg.nn_max < 0:
+                raise ValueError("nnmax must be >= 0")
             return cmd_check(cfg, out)
         if args.command == "cache":
             cfg = RunConfig(

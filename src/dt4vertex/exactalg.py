@@ -1,11 +1,12 @@
 """Exact arithmetic kernels for equivariant vertex computations.
 
-Four layers, all exact (no floating point anywhere):
+Three layers, all exact (no floating point anywhere):
 
 * ``TLaurent`` -- Laurent polynomials in the torus characters t1..t4 with
-  integer coefficients and Z^4 exponents.
-* ``TChar`` -- fractions of Laurent polynomials whose denominators are
-  products of factors (1 - t^w); the home of rational characters.
+  integer coefficients and Z^4 exponents.  Characters never need a
+  denominator: the vertex is computed in closed form, and the exact
+  division by (1 - t^w) (``laurent_div_binomial``) serves only the
+  division oracles of ``vertexcalc``.
 * ``LambdaRat`` / ``FactoredWeightProduct`` -- rational functions in the
   equivariant parameters l1, l2, l3 (l4 is eliminated through
   l1+l2+l3+l4 = 0) whose denominators are products of linear forms, as
@@ -174,7 +175,7 @@ def poly_linear_mul(p, form):
 
 
 class NotPolynomial(Exception):
-    """A rational character failed to clear its denominator exactly."""
+    """An exact division by (1 - t^w) left a remainder."""
 
 
 class DivisionNotUnit(Exception):
@@ -282,12 +283,6 @@ class TLaurent:
         """Substitute t_i -> t^{cols[i]} for four weight vectors cols."""
         return TLaurent(laurent_subst(self.terms, tuple(map(tuple, cols))))
 
-    def min_total_degree(self):
-        return min((sum(w) for w in self.terms), default=0)
-
-    def truncate_total_degree(self, bound):
-        return TLaurent({w: c for w, c in self.terms.items() if sum(w) <= bound})
-
     def __eq__(self, other):
         return isinstance(other, TLaurent) and self.terms == other.terms
 
@@ -379,151 +374,6 @@ def laurent_div_binomial(num, d):
     if terms:
         return None
     return TLaurent(quot)
-
-
-# ---------------------------------------------------------------------------
-# rational characters
-
-
-class TChar:
-    """Fraction num / prod_d (1 - t^d); the denominator is a multiset of
-    nonzero weights.  Cancellation happens only by exact polynomial division,
-    so equality of values is decided by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=()):
-        if isinstance(num, TLaurent):
-            self.num = num
-        else:
-            self.num = TLaurent(num)
-        den = tuple(sorted(tuple(d) for d in den))
-        for d in den:
-            if not any(d):
-                raise ValueError("denominator weight must be nonzero")
-        self.den = den
-
-    def to_laurent(self):
-        reduced = self.reduce()
-        if reduced.den:
-            raise NotPolynomial(
-                "denominator factors remain: "
-                + ", ".join(f"(1-t^{list(d)})" for d in reduced.den)
-            )
-        return reduced.num
-
-    def reduce(self):
-        """Divide the numerator by denominator factors whenever the division
-        is exact; idempotent and value-preserving."""
-        num = self.num
-        remaining = []
-        for d in self.den:
-            if num.is_zero():
-                continue
-            q = laurent_div_binomial(num, d)
-            if q is None:
-                remaining.append(d)
-            else:
-                num = q
-        if num.is_zero():
-            remaining = []
-        return TChar(num, remaining)
-
-    def den_laurent(self):
-        out = TLaurent.one()
-        for d in self.den:
-            out = out * binomial_laurent(d)
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, TLaurent):
-            other = TChar(other)
-        from collections import Counter
-
-        ca, cb = Counter(self.den), Counter(other.den)
-        common = ca | cb
-        exa = list((common - ca).elements())
-        exb = list((common - cb).elements())
-        na = self.num
-        for d in exa:
-            na = na * binomial_laurent(d)
-        nb = other.num
-        for d in exb:
-            nb = nb * binomial_laurent(d)
-        return TChar(na + nb, tuple(common.elements())).reduce()
-
-    def __sub__(self, other):
-        if isinstance(other, TLaurent):
-            other = TChar(other)
-        return self + TChar(-other.num, other.den)
-
-    def __neg__(self):
-        return TChar(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, TLaurent):
-            other = TChar(other)
-        return TChar(self.num * other.num, self.den + other.den).reduce()
-
-    def bar(self):
-        """Apply t^w -> t^{-w} to the value, keeping denominators in the
-        standard (1 - t^d) shape: 1/(1-t^{-d}) = -t^d/(1-t^d)."""
-        shift = (0, 0, 0, 0)
-        for d in self.den:
-            shift = (shift[0] + d[0], shift[1] + d[1], shift[2] + d[2], shift[3] + d[3])
-        num = self.num.bar().shift(shift)
-        if len(self.den) % 2:
-            num = -num
-        return TChar(num, self.den)
-
-    def eq_rational(self, other):
-        if isinstance(other, TLaurent):
-            other = TChar(other)
-        return self.num * other.den_laurent() == other.num * self.den_laurent()
-
-    def expand_series(self, bound):
-        """Truncated expansion as a Laurent series, keeping terms of total
-        degree <= bound.  Denominator weights must be componentwise >= 0 or
-        componentwise <= 0 (each factor expands with non-negative degrees)."""
-        out = self.num
-        extra = max(0, -out.min_total_degree())
-        fbound = bound + extra
-        for d in self.den:
-            if all(x >= 0 for x in d):
-                step, pref, sign = d, (0, 0, 0, 0), 1
-            elif all(x <= 0 for x in d):
-                nd = tuple(-x for x in d)
-                step, pref, sign = nd, nd, -1
-            else:
-                raise ValueError(f"cannot expand denominator weight {d}")
-            degstep = sum(step)
-            geom = {}
-            w = pref
-            while sum(w) <= fbound:
-                geom[w] = sign
-                w = (w[0] + step[0], w[1] + step[1], w[2] + step[2], w[3] + step[3])
-            out = (out * TLaurent(geom)).truncate_total_degree(fbound)
-        return out.truncate_total_degree(bound)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TChar)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __repr__(self):
-        if not self.den:
-            return f"TChar({self.num.render()})"
-        den = " * ".join(f"(1-t^{list(d)})" for d in self.den)
-        return f"TChar(({self.num.render()}) / {den})"
-
-
-def tchar_reduce(z):
-    """Reduce a rational character; returns a TLaurent when the denominator
-    multiset empties and the reduced TChar otherwise."""
-    r = z.reduce()
-    return r.num if not r.den else r
 
 
 # ---------------------------------------------------------------------------

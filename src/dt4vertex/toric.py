@@ -32,7 +32,6 @@ from .exactalg import (
     FactoredWeightProduct,
     LambdaRat,
     QSeries,
-    binomial_laurent,
     lambdarat_sum,
     poly_add,
     poly_from_form,
@@ -377,7 +376,7 @@ class GlobalFixedPoint:
         return "fp:" + ";".join(parts)
 
     def chart_character(self, alpha):
-        """Rational character of the fixed point's sheaf on chart alpha."""
+        """Character of the fixed point's sheaf on chart alpha."""
         if self.flavor == "dt":
             return dt_character(self.locals[alpha])
         return pt_character(self.locals[alpha])
@@ -632,14 +631,7 @@ def chart_tangent_euler(g, alpha):
 def _tau_from_characters(g, gamma, chart_chars):
     total = LambdaRat.from_int(0)
     for alpha, z in enumerate(chart_chars):
-        zd = z.num
-        dens = list(z.den)
-        for w in IDENTITY_COLS:
-            if w in dens:
-                dens.remove(w)
-            else:
-                zd = zd * binomial_laurent(w)
-        a = zd.subst(g.charts[alpha])
+        a = z.times_d().subst(g.charts[alpha])
         ch3 = _ch3(a)
         if ch3.is_zero():
             continue

@@ -2,6 +2,18 @@
 Laurent polynomials, square-rooted equivariant Euler classes, and the DT/PT
 vertex and edge q-series.
 
+A character is held in partial fractions, Z = Z_fin + sum_i L_i/(1-t_i),
+and the vertex V = Z + M*Zbar - Z*Zbar*Dbar + sum_i F_i/(1-t_i) (M =
+t^(-1,-1,-1,-1), D = prod (1-t_i), X -> Xbar inverts t) in closed form:
+
+    V = Z_fin + M*Zbar_fin - Z_fin*Qbar + sum_i t_i^-1 * L_i * Rbar_i,
+
+with Q = Z*D and R_i = (Z - L_i/(1-t_i)) * D/(1-t_i), both Laurent
+polynomials.  The F_i cancel the pole terms L_i/(1-t_i) and
+M*Lbar_i/(1-t_i^-1) exactly; what is left over (1-t_i) is
+L_i*(Lbar_i*Dbar/(1-t_i^-1) - Qbar) = -L_i*(1-t_i^-1)*Rbar_i, and
+1-t_i^-1 = -t_i^-1*(1-t_i).
+
 Square roots are taken with a fixed convention: from each pair of weights
 with opposite linear forms, the representative whose form has positive
 first nonzero coefficient (under l1 > l2 > l3) is kept.  All reported
@@ -21,11 +33,12 @@ from dataclasses import dataclass
 from .exactalg import (
     FactoredWeightProduct,
     LambdaRat,
+    NotPolynomial,
     QSeries,
-    TChar,
     TLaurent,
     binomial_laurent,
     lambdarat_sum,
+    laurent_div_binomial,
     weight_form,
 )
 from .partitions import EdgeData, SolidPartition, enumerate_dt
@@ -33,7 +46,6 @@ from .ptconfig import LegModule, enumerate_boxconfigs
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 AXIS_WEIGHTS = (E1, E2, E3, E4)
-FULL_DEN = (E1, E2, E3, E4)
 IDENTITY_SUBST = AXIS_WEIGHTS
 
 
@@ -58,79 +70,51 @@ def leg_laurent(pp, axis):
     return TLaurent(terms)
 
 
+def _d(axes):
+    """prod_{k in axes} (1 - t_k)."""
+    out = TLaurent.one()
+    for k in axes:
+        out = out * binomial_laurent(AXIS_WEIGHTS[k])
+    return out
+
+
+@dataclass(frozen=True)
+class Character:
+    """A fixed point's character in partial fractions,
+    Z = finite + sum_i legs[i]/(1 - t_i), where legs[i] =
+    leg_laurent(leg_i, i) does not involve t_i (and is 0 for an empty leg)."""
+
+    finite: TLaurent
+    legs: tuple
+
+    def times_d(self, axes=(0, 1, 2, 3)):
+        """The Laurent polynomial (Z - sum_{j not in axes} L_j/(1-t_j))
+        * prod_{k in axes} (1 - t_k); Q = Z*D for all four axes."""
+        out = self.finite * _d(axes)
+        for j in axes:
+            if not self.legs[j].is_zero():
+                out = out + self.legs[j] * _d([k for k in axes if k != j])
+        return out
+
+
 def dt_character(sp):
     """Character Z of the structure sheaf of the subscheme of a solid
-    partition: leg cylinders glued by inclusion-exclusion plus the added
-    boxes, as a rational character over prod (1 - t_i) of the leg axes."""
-    den = []
-    num = TLaurent()
-    axes = [i for i in range(4) if not sp.legs[i].is_empty()]
-    for i in axes:
-        den.append(AXIS_WEIGHTS[i])
-        part = leg_laurent(sp.legs[i], i)
-        for j in axes:
-            if j != i:
-                part = part * binomial_laurent(AXIS_WEIGHTS[j])
-        num = num + part
+    partition: leg cylinders glued by inclusion-exclusion (a box in k legs
+    counts 1 - k times in the finite part) plus the added boxes."""
     finite = {}
     for box, k in sp.multi_leg_boxes():
         finite[box] = finite.get(box, 0) + (1 - k)
     for box in sorted(sp.added):
         finite[box] = finite.get(box, 0) + 1
-    finite = TLaurent({w: c for w, c in finite.items() if c})
-    if not finite.is_zero():
-        for j in axes:
-            finite = finite * binomial_laurent(AXIS_WEIGHTS[j])
-        num = num + finite
-    return TChar(num, den)
+    legs = tuple(leg_laurent(pp, i) for i, pp in enumerate(sp.legs))
+    return Character(TLaurent(finite), legs)
 
 
 def pt_character(config):
     """Character of a stable pair: the CM curve of the module's legs plus
     the cokernel boxes."""
-    cm = SolidPartition(config.module.legs)
-    z = dt_character(cm)
-    q = config.character()
-    if q.is_zero():
-        return z
-    extra = q
-    for d in z.den:
-        extra = extra * binomial_laurent(d)
-    return TChar(z.num + extra, z.den)
-
-
-def vertex_prelim(z):
-    """Trace of -RHom(E,E)_0 as a rational character over
-    D = (1-t1)(1-t2)(1-t3)(1-t4), computed in the closed form (1 - P*Pbar)/D
-    with P = 1 - Z*D the Poincare polynomial."""
-    remaining = list(z.den)
-    num = z.num
-    for w in FULL_DEN:
-        if w in remaining:
-            remaining.remove(w)
-        else:
-            num = num * binomial_laurent(w)
-    if remaining:
-        raise ValueError("character denominator must divide (1-t1)..(1-t4)")
-    p = TLaurent.one() - num
-    pbar = p.bar()
-    return TChar(TLaurent.one() - p * pbar, FULL_DEN)
-
-
-def vertex_prelim_series_oracle(z, bound):
-    """Direct truncated evaluation of Z + Zbar/(t1t2t3t4)
-    - Z*Zbar*(1-t1)(1-t2)(1-t3)(1-t4)/(t1t2t3t4), for cross-checking the
-    closed form through a given total degree."""
-    zbar = z.bar()
-    minus_one = (-1, -1, -1, -1)
-    second = TChar(zbar.num.shift(minus_one), zbar.den)
-    d_lau = TLaurent.one()
-    for w in FULL_DEN:
-        d_lau = d_lau * binomial_laurent(w)
-    third = z * zbar
-    third = TChar(-(third.num * d_lau).shift(minus_one), third.den)
-    total = z + second + third
-    return total.expand_series(bound)
+    cm = dt_character(SolidPartition(config.module.legs))
+    return Character(cm.finite + config.character(), cm.legs)
 
 
 def leg_F(pp, axis):
@@ -142,10 +126,7 @@ def leg_F(pp, axis):
     zbar = z.bar()
     slots = [i for i in range(4) if i != axis]
     shift = tuple(-1 if i in slots else 0 for i in range(4))
-    d3 = TLaurent.one()
-    for i in slots:
-        d3 = d3 * binomial_laurent(AXIS_WEIGHTS[i])
-    return -z + zbar.shift(shift) - (z * zbar * d3).shift(shift)
+    return -z + zbar.shift(shift) - (z * zbar * _d(slots)).shift(shift)
 
 
 def edge_F(pp):
@@ -153,20 +134,39 @@ def edge_F(pp):
     return leg_F(pp, 0)
 
 
-def redistribute_vertex(z, legs):
-    """The vertex Laurent polynomial: vertex_prelim(Z) + sum_i F_i/(1-t_i).
-    Every denominator factor must cancel exactly."""
-    prelim = vertex_prelim(z)
-    num = prelim.num
+def redistribute_vertex(z):
+    """The vertex Laurent polynomial of a character, by the closed formula
+    of the module docstring; R_i is z.times_d(the axes other than i)."""
+    qbar = z.times_d().bar()
+    fin = z.finite
+    v = fin + fin.bar().shift((-1, -1, -1, -1)) - fin * qbar
+    for i, leg in enumerate(z.legs):
+        if not leg.is_zero():
+            rbar = z.times_d([k for k in range(4) if k != i]).bar()
+            v = v + (leg * rbar).shift(tuple(-e for e in AXIS_WEIGHTS[i]))
+    return v
+
+
+def redistribute_vertex_division_oracle(z, legs):
+    """The same vertex term as ((1 - P*Pbar) + sum_i F_i*D_{!=i}) / D with
+    P = 1 - Z*D, by four exact divisions; raises NotPolynomial when one of
+    them is not exact."""
+    p = TLaurent.one() - z.times_d()
+    num = TLaurent.one() - p * p.bar()
     for axis in range(4):
         f = leg_F(legs[axis], axis)
-        if f.is_zero():
-            continue
-        for j in range(4):
-            if j != axis:
-                f = f * binomial_laurent(AXIS_WEIGHTS[j])
-        num = num + f
-    return TChar(num, FULL_DEN).to_laurent()
+        if not f.is_zero():
+            num = num + f * _d([k for k in range(4) if k != axis])
+    for w in AXIS_WEIGHTS:
+        num = _divide_exactly(num, w)
+    return num
+
+
+def _divide_exactly(num, d):
+    q = laurent_div_binomial(num, d)
+    if q is None:
+        raise NotPolynomial(f"(1-t^{list(d)}) does not divide the numerator")
+    return q
 
 
 def redistribute_edge(pp, e):
@@ -204,7 +204,7 @@ def redistribute_edge_division_oracle(pp, e):
     f = edge_F(pp)
     cols = (E1, (-m, 1, 0, 0), (-mp, 0, 1, 0), (-mpp, 0, 0, 1))
     num = f.shift((-1, 0, 0, 0)) - f.subst(cols)
-    return TChar(num, ((-1, 0, 0, 0),)).to_laurent()
+    return _divide_exactly(num, (-1, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +344,10 @@ def euler_full_product(v):
 
 @dataclass(frozen=True)
 class VertexCharacter:
-    """A fixed point's rational character and its redistributed vertex."""
+    """A fixed point's character and its redistributed vertex."""
 
     key: str
-    Zrat: TChar
+    Z: Character
     V: TLaurent
 
 
@@ -366,14 +366,12 @@ def subst_key(subst):
 
 def dt_vertex_character(sp):
     z = dt_character(sp)
-    v = redistribute_vertex(z, sp.legs)
-    return VertexCharacter(sp.key(), z, v)
+    return VertexCharacter(sp.key(), z, redistribute_vertex(z))
 
 
 def pt_vertex_character(config):
     z = pt_character(config)
-    v = redistribute_vertex(z, config.module.legs)
-    return VertexCharacter(config.key(), z, v)
+    return VertexCharacter(config.key(), z, redistribute_vertex(z))
 
 
 _MEMO = {}

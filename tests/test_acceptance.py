@@ -49,6 +49,7 @@ from dt4vertex.vertexcalc import (
     dt_vertex_character,
     pt_vertex_character,
     redistribute_edge,
+    redistribute_vertex_division_oracle,
 )
 
 E = EMPTY_PP
@@ -184,15 +185,20 @@ class TestCriterion5Properties:
         return pool
 
     def test_squarability_and_polynomiality(self):
+        # exact polynomiality: the closed-form V equals the quotient of the
+        # division oracle, whose four divisions by (1 - t_i) must be exact
         ok = True
         for sp in self.desk_partitions():
-            v = dt_vertex_character(sp).V  # raises NotPolynomial on failure
-            ok = ok and check_cy_symmetric(v)
+            c = dt_vertex_character(sp)
+            ok = ok and c.V == redistribute_vertex_division_oracle(c.Z, sp.legs)
+            ok = ok and check_cy_symmetric(c.V)
         box = PlanePartition([[1]])
         for legs in [(box, E, E, E), (box, box, E, E)]:
             module = build_leg_module(*legs)
             for cfg in enumerate_boxconfigs(module, 2):
-                ok = ok and check_cy_symmetric(pt_vertex_character(cfg).V)
+                c = pt_vertex_character(cfg)
+                ok = ok and c.V == redistribute_vertex_division_oracle(c.Z, legs)
+                ok = ok and check_cy_symmetric(c.V)
         for pp in (box, PlanePartition([[2], [1]])):
             for deg in [(0, -1, -1), (1, -1, -2)]:
                 ok = ok and check_cy_symmetric(redistribute_edge(pp, deg))

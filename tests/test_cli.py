@@ -190,6 +190,46 @@ class TestCheckCommands:
         )
         assert rc == 2
 
+    @staticmethod
+    def forbid_checks(monkeypatch):
+        import dt4vertex.cli as cli
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("checked before the arguments were validated")
+
+        for name in ("check_affine_implies_toric", "local_curve_full_check"):
+            monkeypatch.setattr(cli, name, untouched)
+
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "global", "--geometry", "localp2", "--beta", "1"],
+            ["check", "localcurve", "--dmax", "1"],
+        ],
+        ids=["global", "localcurve"],
+    )
+    def test_order_below_one_is_usage_error(self, monkeypatch, argv, order):
+        self.forbid_checks(monkeypatch)
+        rc, out = run(argv + ["--order", order])
+        assert (rc, out) == (2, "error: order must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["global", "--geometry", "localp2", "--beta", "-1"], "beta components must be >= 0"),
+            (["global", "--geometry", "localp1p1", "--beta", "1,-1"], "beta components must be >= 0"),
+            (["localcurve", "--dmax", "-1"], "dmax must be >= 0"),
+            (["localcurve", "--dmax", "1", "--nnmax", "-2"], "nnmax must be >= 0"),
+        ],
+        ids=["beta", "beta-component", "dmax", "nnmax"],
+    )
+    def test_negative_sizes_are_usage_errors(self, monkeypatch, argv, message):
+        # each of these used to pass vacuously with PASS and exit 0
+        self.forbid_checks(monkeypatch)
+        rc, out = run(["check"] + argv + ["--order", "2"])
+        assert (rc, out) == (2, f"error: {message}\n")
+
 
 class TestCacheCommand:
     def test_lifecycle(self, tmp_path):

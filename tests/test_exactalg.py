@@ -10,7 +10,6 @@ from dt4vertex.exactalg import (
     FactoredWeightProduct,
     LambdaRat,
     QSeries,
-    TChar,
     TLaurent,
     bar_involution,
     binomial_laurent,
@@ -27,7 +26,6 @@ from dt4vertex.exactalg import (
     poly_neg,
     poly_scale,
     qexp,
-    tchar_reduce,
     weight_form,
 )
 from dt4vertex.exactalg import _cancel_forms, _screen
@@ -90,69 +88,36 @@ class TestBarInvolution:
             assert bar_involution(bar_involution(p)) == p
 
 
-class TestTCharReduce:
+class TestLaurentDivBinomial:
     def test_geometric_factor(self):
-        z = TChar(TLaurent({(0, 0, 0, 0): 1, (2, 0, 0, 0): -1}), (E1,))
-        assert tchar_reduce(z) == TLaurent({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
-
-    def test_non_divisible_unchanged(self):
-        z = TChar(TLaurent({(0, 0, 0, 0): 1, (1, 1, 0, 0): -1}), (E1,))
-        r = tchar_reduce(z)
-        assert isinstance(r, TChar)
-        assert r.num == z.num and r.den == z.den
+        num = TLaurent({(0, 0, 0, 0): 1, (2, 0, 0, 0): -1})
+        assert laurent_div_binomial(num, E1) == TLaurent({(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
 
     def test_full_cancellation(self):
         num = binomial_laurent(E1) * binomial_laurent(E2)
-        z = TChar(num, (E1, E2))
-        assert tchar_reduce(z) == TLaurent.one()
+        assert laurent_div_binomial(laurent_div_binomial(num, E1), E2) == TLaurent.one()
 
-    def test_idempotent_and_value_preserving(self):
+    def test_random_exact_quotients(self):
         rng = random.Random(5)
         for _ in range(40):
             q = random_laurent(rng, rng.randint(1, 6), span=2)
             dens = [
-                (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1),
-            ][: rng.randint(1, 3)]
+                (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (-1, 0, 0, 0),
+            ][: rng.randint(1, 5)]
             num = q
             for d in dens:
                 num = num * binomial_laurent(d)
-            z = TChar(num, tuple(dens))
-            r = z.reduce()
-            assert r.reduce() == r
-            assert r.eq_rational(z)
+            for d in reversed(dens):
+                num = laurent_div_binomial(num, d)
+            assert num == q
 
     def test_division_guard_rejects_inexact(self):
         assert laurent_div_binomial(TLaurent.one(), E1) is None
+        assert laurent_div_binomial(TLaurent({(0, 0, 0, 0): 1, (1, 1, 0, 0): -1}), E1) is None
         p = binomial_laurent(E1) * TLaurent({(0, 1, 0, 0): 2, (3, 0, 1, 0): -1})
         assert laurent_div_binomial(p, E1) == TLaurent(
             {(0, 1, 0, 0): 2, (3, 0, 1, 0): -1}
         )
-
-
-class TestTCharArith:
-    def test_common_denominator(self):
-        a = TChar(TLaurent.one(), (E1,))
-        b = TChar(TLaurent.one(), (E2,))
-        s = a + b
-        expect = TChar(
-            TLaurent({(0, 0, 0, 0): 2, (1, 0, 0, 0): -1, (0, 1, 0, 0): -1}),
-            (E1, E2),
-        )
-        assert s.eq_rational(expect)
-
-    def test_add_zero_identity(self):
-        z = TChar(TLaurent({(1, 0, 2, 0): 3}), (E3,))
-        assert (z + TChar(TLaurent.zero())).eq_rational(z)
-
-    def test_inverse_pair(self):
-        a = TChar(TLaurent.one(), (E1,))
-        b = TChar(binomial_laurent(E1))
-        assert (a * b).eq_rational(TChar(TLaurent.one()))
-
-    def test_bar_value(self):
-        # bar(1/(1-t1)) = 1/(1-t1^{-1}) = -t1/(1-t1)
-        z = TChar(TLaurent.one(), (E1,))
-        assert z.bar() == TChar(TLaurent({(1, 0, 0, 0): -1}), (E1,))
 
 
 class TestWeightForm:

@@ -1,5 +1,5 @@
+import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +9,6 @@ from dt4vertex.exactalg import (
     FactoredWeightProduct,
     LambdaRat,
     NotPolynomial,
-    TChar,
     TLaurent,
     binomial_laurent,
 )
@@ -20,8 +19,9 @@ from dt4vertex.partitions import (
     SolidPartition,
     enumerate_dt,
     enumerate_pointlike,
+    plane_partitions_of,
 )
-from dt4vertex.ptconfig import BoxConfig, build_leg_module
+from dt4vertex.ptconfig import BoxConfig, build_leg_module, enumerate_boxconfigs
 from dt4vertex.signsearch import nekrasov_rational
 from dt4vertex.vertexcalc import (
     TFixedObstruction,
@@ -39,9 +39,8 @@ from dt4vertex.vertexcalc import (
     redistribute_edge,
     redistribute_edge_division_oracle,
     redistribute_vertex,
+    redistribute_vertex_division_oracle,
     subst_key,
-    vertex_prelim,
-    vertex_prelim_series_oracle,
 )
 
 BOX = PlanePartition([[1]])
@@ -54,52 +53,35 @@ def row_pp(n):
     return PlanePartition([[1]] * n)
 
 
+def d_of(axes):
+    """prod_{k in axes} (1 - t_k)."""
+    out = TLaurent.one()
+    for k in axes:
+        out = out * binomial_laurent((E1, E2, E3, E4)[k])
+    return out
+
+
 class TestDTCharacter:
     def test_single_box(self):
-        sp = SolidPartition((E,) * 4, {(0, 0, 0, 0)})
-        assert dt_character(sp).eq_rational(TChar(TLaurent.one()))
+        z = dt_character(SolidPartition((E,) * 4, {(0, 0, 0, 0)}))
+        assert z.finite == TLaurent.one()
+        assert all(leg.is_zero() for leg in z.legs)
+        assert z.times_d() == d_of(range(4))
 
     def test_single_leg(self):
-        sp = SolidPartition((BOX, E, E, E))
-        assert dt_character(sp).eq_rational(TChar(TLaurent.one(), (E1,)))
+        z = dt_character(SolidPartition((BOX, E, E, E)))
+        assert z.finite.is_zero()
+        assert z.legs == (TLaurent.one(), TLaurent(), TLaurent(), TLaurent())
+        assert z.times_d() == d_of((1, 2, 3))
 
     def test_two_legs_inclusion_exclusion(self):
-        sp = SolidPartition((BOX, BOX, E, E))
-        z = dt_character(sp)
-        expect = (
-            TChar(TLaurent.one(), (E1,))
-            + TChar(TLaurent.one(), (E2,))
-            - TChar(TLaurent.one())
-        )
-        assert z.eq_rational(expect)
-        # truncated expansions agree through total degree 6
-        assert z.expand_series(6) == expect.expand_series(6)
-
-
-class TestVertexPrelim:
-    def test_one_point_closed_form(self):
-        got = vertex_prelim(TChar(TLaurent.one()))
-        d = TLaurent.one()
-        for w in (E1, E2, E3, E4):
-            d = d * binomial_laurent(w)
-        expect = (
-            TChar(TLaurent.one())
-            + TChar(TLaurent.monomial((-1, -1, -1, -1)))
-            - TChar(d.shift((-1, -1, -1, -1)))
-        )
-        assert got.eq_rational(expect)
-
-    def test_zero(self):
-        assert vertex_prelim(TChar(TLaurent.zero())).eq_rational(TChar(TLaurent.zero()))
-
-    def test_matches_direct_truncated_evaluation(self):
-        rng = random.Random(41)
-        pool = [sp for n in range(4) for sp in enumerate_pointlike(n)]
-        pool += list(enumerate_dt(BOX, E, E, E, 1))
-        pool += list(enumerate_dt(E, BOX, E, BOX, 1))
-        for sp in rng.sample(pool, 10):
-            z = dt_character(sp)
-            assert vertex_prelim(z).expand_series(6) == vertex_prelim_series_oracle(z, 6)
+        # Z = 1/(1-t1) + 1/(1-t2) - 1: the box at the origin lies in both legs
+        z = dt_character(SolidPartition((BOX, BOX, E, E)))
+        assert z.finite == -TLaurent.one()
+        assert z.legs[:2] == (TLaurent.one(), TLaurent.one())
+        assert z.times_d() == d_of((1, 2, 3)) + d_of((0, 2, 3)) - d_of(range(4))
+        # dropping the second leg leaves (1/(1-t1) - 1) * (1-t1)(1-t3)(1-t4)
+        assert z.times_d((0, 2, 3)) == d_of((2, 3)) - d_of((0, 2, 3))
 
 
 class TestEdgeF:
@@ -133,11 +115,36 @@ class TestEdgeF:
 
 
 class TestRedistribute:
-    def test_pointlike_equals_prelim_cleared(self):
-        for sp in enumerate_pointlike(3):
-            z = dt_character(sp)
-            v = redistribute_vertex(z, sp.legs)
-            assert vertex_prelim(z).eq_rational(TChar(v))
+    def test_one_point_closed_form(self):
+        # Z = 1: V = 1 + t^(-1,-1,-1,-1) - Dbar; the empty vertex Z = 0 has V = 0
+        z = dt_character(SolidPartition((E,) * 4, {(0, 0, 0, 0)}))
+        expect = TLaurent.one() + TLaurent.monomial((-1, -1, -1, -1)) - d_of(range(4)).bar()
+        assert redistribute_vertex(z) == expect
+        assert redistribute_vertex(dt_character(SolidPartition((E,) * 4))).is_zero()
+
+    def test_matches_division_oracle(self):
+        # every DT and PT fixed point of the leg sets of total size <= 2 mod
+        # q^4, the empty vertex through 5 boxes, and some 3- and 4-leg sets
+        pools = {n: plane_partitions_of(n) for n in range(3)}
+        leg_sets = [
+            legs
+            for sizes in itertools.product(range(3), repeat=4)
+            if sum(sizes) <= 2
+            for legs in itertools.product(*(pools[n] for n in sizes))
+        ]
+        assert len(leg_sets) == 23
+        cases = [(dt_character(sp), sp.legs) for n in range(6) for sp in enumerate_pointlike(n)]
+        for legs in leg_sets:
+            cases += [(dt_character(sp), legs) for sp in enumerate_dt(*legs, 3)]
+            module = build_leg_module(*legs)
+            cases += [(pt_character(c), legs) for c in enumerate_boxconfigs(module, 3)]
+        two, col = PlanePartition([[2]]), PlanePartition([[1, 1]])
+        for legs in [(BOX, BOX, BOX, E), (E, BOX, BOX, BOX), (BOX, BOX, BOX, BOX),
+                     (two, BOX, BOX, E), (BOX, col, E, BOX), (two, BOX, BOX, BOX)]:
+            cases += [(dt_character(sp), legs) for sp in enumerate_dt(*legs, 2)]
+        assert len(cases) == 1414
+        for z, legs in cases:
+            assert redistribute_vertex(z) == redistribute_vertex_division_oracle(z, legs)
 
     def test_symmetry_single_leg_cm(self):
         sp = SolidPartition((BOX, E, E, E))
@@ -170,10 +177,10 @@ class TestRedistribute:
         assert check_cy_symmetric(eterm)
 
     def test_not_polynomial_signalled(self):
-        # a character with the wrong legs fails to clear the denominator
+        # the division oracle given the wrong legs fails to clear D
         z = dt_character(SolidPartition((BOX, E, E, E)))
         with pytest.raises(NotPolynomial):
-            redistribute_vertex(z, (E, E, E, E))
+            redistribute_vertex_division_oracle(z, (E, E, E, E))
 
 
 class TestEulerSqrt:
@@ -272,7 +279,7 @@ class TestVertexSeries:
         assert not s.coefficient(3).is_zero()
 
     def test_empty_vertex_mod_q7(self):
-        # the exact frontier: about 13 s on a 2-CPU machine
+        # the exact frontier: about 4 s on a 2-CPU machine
         s7 = dt_vertex_series(E, E, E, E, 7)
         assert s7.eq_mod(dt_vertex_series(E, E, E, E, 6))
         assert not s7.coefficient(6).is_zero()
@@ -299,4 +306,6 @@ class TestVertexSeries:
         cfg = BoxConfig(mod, {(0, 0, 0, 0)})
         z = pt_character(cfg)
         cm = dt_character(SolidPartition((BOX, BOX, E, E)))
-        assert z.eq_rational(cm + TChar(TLaurent.one()))
+        assert z.legs == cm.legs
+        assert z.finite == cm.finite + TLaurent.one()
+        assert z.times_d() == cm.times_d() + d_of(range(4))
