@@ -116,10 +116,13 @@ class TestEdgeF:
 
 class TestRedistribute:
     def test_one_point_closed_form(self):
-        # Z = 1: V = 1 + t^(-1,-1,-1,-1) - Dbar; the empty vertex Z = 0 has V = 0
+        # Z = 1: V = 1 + t^(-1,-1,-1,-1) - Dbar
         z = dt_character(SolidPartition((E,) * 4, {(0, 0, 0, 0)}))
         expect = TLaurent.one() + TLaurent.monomial((-1, -1, -1, -1)) - d_of(range(4)).bar()
         assert redistribute_vertex(z) == expect
+
+    def test_zero(self):
+        # the empty vertex Z = 0 has V = 0
         assert redistribute_vertex(dt_character(SolidPartition((E,) * 4))).is_zero()
 
     def test_matches_division_oracle(self):
