@@ -336,6 +336,8 @@ def _dispatch(args, out):
                 raise ValueError("dmax must be >= 0")
             if cfg.nn_max < 0:
                 raise ValueError("nnmax must be >= 0")
+            if args.target == "localcurve" and max(cfg.d_max, cfg.nn_max) < 1:
+                raise ValueError("dmax or nnmax must be >= 1")
             return cmd_check(cfg, out)
         if args.command == "cache":
             cfg = RunConfig(

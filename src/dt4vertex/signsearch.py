@@ -39,6 +39,17 @@ The report builders re-sort them as a direct solve would, and a failing
 order's residual is A of the standard residual with the signs s.  Equal
 values render to equal text, so transported reports are byte-identical to
 those of a direct solve in chart coordinates.
+
+The DT/PT identity is moreover solved once per orbit of leg sets under S4,
+the permutations of the four axes.  A permutation sigma keeps l1 + l2 + l3
++ l4 = 0 and exp(qC), and it is the chart whose column i is e_sigma(i): it
+sends the fixed point pi of legs R to the fixed point sigma pi of sigma R,
+whose canonical root is ``relabel_root`` of r_pi, that is s_pi A(r_pi).  So
+the identity for sigma R is A of the one for R, and ``solve_dtpt`` solves a
+representative R directly and transports that solve to sigma R exactly as
+a chart report is transported, with the keys and terms of each order put in
+sigma R's enumeration order.  The result is the solve a direct solve of
+sigma R returns, field by field.
 """
 
 from __future__ import annotations
@@ -57,8 +68,15 @@ from .exactalg import (
     qexp,
 )
 from .partitions import EMPTY_PP, SolidPartition, enumerate_dt
-from .ptconfig import LegModule, enumerate_boxconfigs
-from .vertexcalc import dt_vertex_root, pt_vertex_root, subst_key, substitution_forms
+from .ptconfig import BoxConfig, LegModule, enumerate_boxconfigs
+from .vertexcalc import (
+    AXIS_WEIGHTS,
+    dt_vertex_root,
+    pt_vertex_root,
+    relabel_root,
+    subst_key,
+    substitution_forms,
+)
 
 MAX_UNKNOWNS = 40
 # the free variables of a reduced system are walked exhaustively: 2^20 steps
@@ -563,6 +581,24 @@ def solve_dtpt(legs, trunc, cache=None):
     """Solve order-by-order, in standard coordinates, for joint DT and PT
     vertex signs realizing Vtilde^DT = Vtilde^PT * exp(qC) mod q^trunc.
 
+    The representative R of the S4 orbit of ``legs`` is solved by
+    ``solve_dtpt_direct`` and its solve transported to ``legs`` by
+    ``transport_dtpt``; the result equals a direct solve of ``legs`` field
+    by field.  Without a cache, the solves of representatives are kept in
+    process, as the root memo keeps roots, so each orbit is solved once."""
+    LegModule(legs)  # rejects malformed legs before their orbit is formed
+    rep, p = orbit_representative(legs)
+    if cache is not None:
+        solve = solve_dtpt_direct(rep, trunc, cache)
+    elif (solve := _DTPT_MEMO.get((rep, trunc))) is None:
+        solve = _DTPT_MEMO[rep, trunc] = solve_dtpt_direct(rep, trunc)
+    return transport_dtpt(solve, p, legs)
+
+
+def solve_dtpt_direct(legs, trunc, cache=None):
+    """The solve of ``solve_dtpt`` for ``legs`` themselves, with no orbit
+    representative and no memo.
+
     Each branch is a solution through the previous order; its children, in
     order, extend it by the sorted solutions of the next order.  The solve
     stops after the first order that no branch extends.
@@ -630,6 +666,115 @@ def solve_dtpt(legs, trunc, cache=None):
         if not branches:
             break
     return DtptSolve(legs, trunc, lowest, orders)
+
+
+# ---------------------------------------------------------------------------
+# one DT/PT solve per S4 orbit of leg sets
+
+# every permutation p of the four axes, the identity first; p sends axis i
+# to axis p[i]
+AXIS_PERMUTATIONS = tuple(itertools.permutations(range(4)))
+IDENTITY_PERMUTATION = AXIS_PERMUTATIONS[0]
+
+# the solves of orbit representatives, (legs, trunc) -> DtptSolve; like the
+# root memo ``vertexcalc._MEMO`` it lives in process and serves only runs
+# without a cache
+_DTPT_MEMO = {}
+
+
+def inverse_permutation(p):
+    inv = [0] * 4
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def permute_point(w, p):
+    """A box or weight with its coordinate along axis i moved to axis p[i]."""
+    out = [0] * 4
+    for i, x in enumerate(w):
+        out[p[i]] = x
+    return tuple(out)
+
+
+def permute_legs(legs, p):
+    """The legs moved by p: leg i becomes leg p[i], with its box coordinates
+    (read on the other three axes in increasing order) permuted so that
+    every box of its cylinder moves by ``permute_point``."""
+    out = [None] * 4
+    for i, pp in enumerate(legs):
+        slots = [k for k in range(4) if k != i]
+        out[p[i]] = pp.permuted_axes(
+            tuple(sorted(range(3), key=lambda r: p[slots[r]]))
+        )
+    return tuple(out)
+
+
+def orbit_representative(legs):
+    """(R, p) with R the representative of the S4 orbit of ``legs``, its
+    image with the greatest sort key, and permute_legs(R, p) == legs.  For
+    legs that are their own representative, p is the identity."""
+    images = {}
+    for q in AXIS_PERMUTATIONS:
+        images.setdefault(permute_legs(legs, q), q)
+    rep = max(images, key=lambda L: tuple(pp.sort_key() for pp in L))
+    return rep, inverse_permutation(images[rep])
+
+
+def transport_dtpt(solve, p, legs):
+    """The solve of legs = permute_legs(solve.legs, p), transported from
+    ``solve``.
+
+    p is the chart A whose column i is e_p[i].  The fixed point pi of
+    solve.legs goes to p(pi) with root relabel_root(r_pi, A) = s_pi A(r_pi)
+    and every right-hand side to A(rhs), so each parent's solutions are its
+    old ones with the sign of p(pi) equal to eps_pi * s_pi, re-sorted.
+    Each order lists the keys and terms of ``legs`` in their own
+    enumeration order, and the branches are replayed as ``dtpt_report``
+    replays them."""
+    if p == IDENTITY_PERMUTATION:
+        return solve
+    forms = substitution_forms([AXIS_WEIGHTS[j] for j in p])
+    inv = inverse_permutation(p)
+    rep_legs, rep_module = solve.legs, LegModule(solve.legs)
+    # per order: (key, key of the preimage) of every fixed point of legs
+    pairs = {n: [] for n in range(solve.trunc)}
+    for sp in enumerate_dt(*legs, solve.trunc - 1):
+        pre = SolidPartition(rep_legs, [permute_point(b, inv) for b in sp.added])
+        pairs[sp.n_added()].append((sp.key(), pre.key()))
+    for config in enumerate_boxconfigs(LegModule(legs), solve.trunc - 1):
+        pre = BoxConfig(rep_module, [permute_point(w, inv) for w in config.boxes])
+        pairs[config.weighted_length()].append((config.key(), pre.key()))
+
+    # the old index of each parent branch, in the new order
+    parents = [0]
+    orders = []
+    for n, o in enumerate(solve.orders):
+        index = {k: i for i, k in enumerate(o.keys)}
+        keys, old, free = [], [], []
+        for key, pre in pairs[n]:
+            if pre in index:
+                keys.append(key)
+                old.append(index[pre])
+            else:
+                free.append(key)
+        s = [chart_sign(o.roots[i], forms) for i in old]
+        starts = list(itertools.accumulate(map(len, o.solutions), initial=0))
+        solutions, children = [], []
+        for j in parents:
+            moved = sorted(
+                (tuple(eps[i] * t for i, t in zip(old, s)), starts[j] + c)
+                for c, eps in enumerate(o.solutions[j])
+            )
+            solutions.append([eps for eps, _ in moved])
+            children += [child for _, child in moved]
+        rhs = None
+        if o.rhs is not None:
+            rhs = [o.rhs[j].substitute(forms) for j in parents]
+        roots = [relabel_root(o.roots[i], forms) for i in old]
+        orders.append(OrderSolve(o.order, keys, roots, o.n_dt, free, solutions, rhs))
+        parents = children
+    return DtptSolve(legs, solve.trunc, solve.lowest, orders)
 
 
 def dtpt_report(solve, subst=None):

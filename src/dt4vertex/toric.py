@@ -16,9 +16,9 @@ coefficients, so no sign arises and the parity is unchanged.
 The chart-level sign checks of the global identity are decided the same
 way: as a function of the standard values, the relabelled root is s A(r)
 with s = +-1, so each chart's Nekrasov and DT/PT identities are A of
-standard ones.  ``chart_sign_reports`` solves Nekrasov once and each
-distinct leg tuple once, in standard coordinates, and transports the
-solutions to every chart (see ``signsearch``).
+standard ones.  ``chart_sign_reports`` solves Nekrasov once and each S4
+orbit of leg tuples once, in standard coordinates, and transports the
+solutions to every leg tuple and chart (see ``signsearch``).
 """
 
 from __future__ import annotations
@@ -52,9 +52,11 @@ from .signsearch import (
     dtpt_report,
     nekrasov_rational_subst,
     nekrasov_report,
+    orbit_representative,
     solve_dtpt,
     solve_nekrasov,
     solve_signed_sum,
+    transport_dtpt,
 )
 from .vertexcalc import (
     dt_character,
@@ -779,8 +781,10 @@ def chart_sign_reports(g, beta, trunc, cache=None):
     check fails ends the sequence.
 
     Every report is transported from a solve in standard coordinates (see
-    ``signsearch``).  Nekrasov is solved once, and each leg tuple once; the
-    solves are kept for this call only."""
+    ``signsearch``).  Nekrasov is solved once, and each S4 orbit of leg
+    tuples once, at its representative; each leg tuple's solve is
+    transported from that one.  The solves are shared within this call,
+    with a cache too."""
     empty = (EMPTY_PP,) * 4
     needs = _required_leg_tuples(g, beta)
     nek_solve = solve_nekrasov(trunc - 1, cache)
@@ -795,7 +799,10 @@ def chart_sign_reports(g, beta, trunc, cache=None):
         )
         for L in legs:
             if L not in solves:
-                solves[L] = solve_dtpt(L, trunc, cache)
+                rep, p = orbit_representative(L)
+                if rep not in solves:
+                    solves[rep] = solve_dtpt(rep, trunc, cache)
+                solves[L] = transport_dtpt(solves[rep], p, L)
             yield alpha, L, dtpt_report(solves[L], cols)
 
 

@@ -230,6 +230,23 @@ class TestCheckCommands:
         rc, out = run(["check"] + argv + ["--order", "2"])
         assert (rc, out) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--dmax", "0"], ["--dmax", "0", "--nnmax", "0"]],
+        ids=["dmax", "dmax-and-nnmax"],
+    )
+    def test_no_curve_degree_is_usage_error(self, monkeypatch, argv):
+        # with neither a P(n,d) nor a P(n,n) row to check, the PASS would
+        # be vacuous
+        self.forbid_checks(monkeypatch)
+        rc, out = run(["check", "localcurve"] + argv + ["--order", "3"])
+        assert (rc, out) == (2, "error: dmax or nnmax must be >= 1\n")
+
+    def test_nnmax_alone_is_accepted(self):
+        rc, out = run(["check", "localcurve", "--dmax", "0", "--nnmax", "1", "--order", "2"])
+        assert rc == 0
+        assert "P_nn" in out
+
 
 class TestCacheCommand:
     def test_lifecycle(self, tmp_path):

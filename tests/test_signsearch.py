@@ -17,15 +17,22 @@ from dt4vertex.exactalg import (
 from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_pointlike
 from dt4vertex.ptconfig import TooManyLegs
 from dt4vertex.signsearch import (
+    AXIS_PERMUTATIONS,
+    IDENTITY_PERMUTATION,
     SignAssignment,
     check_dtpt,
     check_nekrasov,
+    dtpt_report,
     naive_signed_sum,
     nekrasov_rational,
+    orbit_representative,
+    permute_legs,
     solve_dtpt,
+    solve_dtpt_direct,
     solve_signed_sum,
 )
 from dt4vertex.vertexcalc import dt_vertex_root, dt_vertex_series
+from test_acceptance import leg_tuples
 
 BOX = PlanePartition([[1]])
 E = EMPTY_PP
@@ -326,6 +333,7 @@ class TestDTPT:
             return key, root
 
         monkeypatch.setattr(signsearch, "dt_vertex_root", guarded)
+        signsearch._DTPT_MEMO.clear()  # the guarded run must solve again
         rep = check_dtpt(BOX, E, E, E, 4)
         assert rep.ok
         assert rep.render_json() == want
@@ -370,3 +378,59 @@ class TestDTPT:
         a = check_dtpt(BOX, E, E, E, 3).to_json()
         b = check_dtpt(BOX, E, E, E, 3).to_json()
         assert a == b
+
+
+class TestOrbitTransport:
+    @pytest.mark.parametrize(
+        "total, exact, orbits",
+        [(2, False, 4), (3, False, 8), (4, True, 12)],
+        ids=["2a", "2b", "2c"],
+    )
+    def test_orbit_census(self, total, exact, orbits):
+        sets = leg_tuples(total, exact)
+        assert len({orbit_representative(L)[0] for L in sets}) == orbits
+
+    def test_representative_of_every_image(self):
+        for L in leg_tuples(2):
+            rep, p = orbit_representative(L)
+            assert permute_legs(rep, p) == L
+            assert orbit_representative(rep) == (rep, IDENTITY_PERMUTATION)
+            for q in AXIS_PERMUTATIONS:
+                image = permute_legs(L, q)
+                assert orbit_representative(image)[0] == rep
+                assert permute_legs(rep, orbit_representative(image)[1]) == image
+
+    @pytest.mark.parametrize(
+        "total, trunc", [(2, 4), (3, 3)], ids=["2a-mod-q4", "2b-mod-q3"]
+    )
+    def test_transport_equals_direct_solve(self, total, trunc):
+        transported = 0
+        for L in leg_tuples(total):
+            got = solve_dtpt(L, trunc)
+            if orbit_representative(L)[0] == L:
+                continue
+            transported += 1
+            want = solve_dtpt_direct(L, trunc)
+            assert (got.legs, got.trunc, got.lowest) == (L, trunc, want.lowest)
+            assert len(got.orders) == len(want.orders)
+            for a, b in zip(got.orders, want.orders):
+                for name in ("order", "keys", "roots", "n_dt", "free", "solutions", "rhs"):
+                    assert getattr(a, name) == getattr(b, name), (L, a.order, name)
+            a, b = dtpt_report(got), dtpt_report(want)
+            assert a.render_json() == b.render_json()
+            assert a.to_text() == b.to_text()
+        assert transported == {2: 19, 3: 75}[total]
+
+    def test_one_direct_solve_per_orbit(self, monkeypatch):
+        solved = []
+        real = signsearch.solve_dtpt_direct
+
+        def counted(legs, trunc, cache=None):
+            solved.append(legs)
+            return real(legs, trunc, cache)
+
+        monkeypatch.setattr(signsearch, "solve_dtpt_direct", counted)
+        for L in leg_tuples(2):
+            assert check_dtpt(*L, 3).ok
+        assert len(solved) == 4
+        assert all(orbit_representative(L)[0] == L for L in solved)

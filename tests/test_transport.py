@@ -17,11 +17,13 @@ import pytest
 from dt4vertex import signsearch
 from dt4vertex.exactalg import FactoredWeightProduct, qexp
 from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_dt
-from dt4vertex.ptconfig import LegModule, enumerate_boxconfigs
+from dt4vertex.ptconfig import BoxConfig, LegModule, enumerate_boxconfigs
 from dt4vertex.signsearch import (
     chart_sign,
     dtpt_report,
     nekrasov_rational_subst,
+    orbit_representative,
+    permute_point,
     solve_dtpt,
 )
 from dt4vertex.toric import (
@@ -156,21 +158,39 @@ def test_chart_sign_is_the_sign_relabelling_drops(preset):
 @pytest.mark.parametrize("case", DATA["planted_fail"], ids=lambda c: c["scale"])
 def test_planted_failure_transports_exactly(case, monkeypatch):
     # (d) one PT root scaled by 2: the failing order and residual are those
-    # of the direct chart solve
-    real = signsearch.pt_vertex_root
-
-    def planted(config, subst=None, cache=None):
-        key, root = real(config, subst, cache)
-        if config.key() == case["scale"]:
-            root = SqrtEuler(FactoredWeightProduct(1, 2) * root.value, root.parity)
-        return key, root
-
-    monkeypatch.setattr(signsearch, "pt_vertex_root", planted)
+    # of the direct chart solve.  A leg set that is not its orbit's
+    # representative is transported from the representative's solve, so
+    # the root is scaled at the representative's fixed point that the
+    # transport maps onto case["scale"], and at case["scale"] itself for
+    # the direct solve it is compared with.
     cols = preset_local_p2().charts[1]
     box = PlanePartition([[1]])
     legs = {"[[1]],[],[],[]": (box, EMPTY_PP, EMPTY_PP, EMPTY_PP),
             "[],[[1]],[],[]": (EMPTY_PP, box, EMPTY_PP, EMPTY_PP)}[case["legs"]]
-    rep = dtpt_report(solve_dtpt(legs, 4), cols)
+    rep_legs, p = orbit_representative(legs)
+    module = LegModule(legs)
+    scaled = {case["scale"]} | {
+        c.key()
+        for c in enumerate_boxconfigs(LegModule(rep_legs), 3)
+        if BoxConfig(module, [permute_point(w, p) for w in c.boxes]).key()
+        == case["scale"]
+    }
+    assert len(scaled) == (1 if rep_legs == legs else 2)
+    real = signsearch.pt_vertex_root
+
+    def planted(config, subst=None, cache=None):
+        key, root = real(config, subst, cache)
+        if config.key() in scaled:
+            root = SqrtEuler(FactoredWeightProduct(1, 2) * root.value, root.parity)
+        return key, root
+
+    monkeypatch.setattr(signsearch, "pt_vertex_root", planted)
+    solve = solve_dtpt(legs, 4)
+    direct = signsearch.solve_dtpt_direct(legs, 4)
+    assert [(o.keys, o.roots, o.solutions, o.rhs) for o in solve.orders] == [
+        (o.keys, o.roots, o.solutions, o.rhs) for o in direct.orders
+    ]
+    rep = dtpt_report(solve, cols)
     bad = next(o for o in rep.orders if o.n_solutions == 0)
     assert not rep.ok
     assert bad.order == case["order"]
