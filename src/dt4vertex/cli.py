@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .cache import VertexCache
-from .partitions import PlanePartition
+from .partitions import PlanePartition, SolidPartition
 from .ptconfig import TooManyLegs
 from .signsearch import SignAssignment, check_dtpt, check_nekrasov
 from .toric import (
@@ -84,10 +84,12 @@ def _load_signs(cfg, legs, cache):
                 f"cannot read signs file {cfg.signs_file!r}: {exc.strerror}"
             ) from exc
     if cfg.sign_policy == "solve":
+        # the series mod q^order has roots through q^(order - 1) only
         if all(pp.is_empty() for pp in legs):
-            rep = check_nekrasov(cfg.order, cache=cache)
+            rep = check_nekrasov(cfg.order - 1, cache=cache)
         else:
-            rep = check_dtpt(*legs, cfg.order + 1, cache=cache)
+            lowest = SolidPartition(legs).renormalized_volume()
+            rep = check_dtpt(*legs, cfg.order - lowest, cache=cache)
         if not rep.ok:
             raise NoConsistentSigns("sign solving failed for the requested vertex")
         witness = rep.witness
@@ -286,8 +288,12 @@ def main(argv=None, out=None):
 
     buf = _io.StringIO()
     rc = _dispatch(args, buf)
-    with open(output_path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    try:
+        with open(output_path, "w", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        out.write(f"error: cannot write output file {output_path!r}: {exc.strerror}\n")
+        return 2
     out.write(buf.getvalue())
     return rc
 

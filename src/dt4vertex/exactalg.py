@@ -13,7 +13,10 @@ Three layers, all exact (no floating point anywhere):
   Euler classes are.  A LambdaRat has one normal form, num / (scalar *
   prod p^e), so equal values are equal fields and render to equal text;
   it divides by units and, through ``FactoredWeightProduct``, by any
-  product of linear forms.
+  product of linear forms.  Numerators are dicts between operations; a sum
+  runs on packed integers (Kronecker substitution) from the lift of its
+  numerators to the common denominator, through the exact trial divisions
+  by the forms that may cancel, to its quotient.
 * ``QSeries`` -- truncated Laurent series in q with LambdaRat coefficients.
 
 Values do not change after construction, except that a LambdaRat multiplies
@@ -30,8 +33,7 @@ Form = tuple    # 3-tuple of ints, the coefficients of c1*l1+c2*l2+c3*l3
 
 ONE4 = (1, 1, 1, 1)
 
-# the prime of all modular arithmetic: the sign solver's evaluations and the
-# trial-division screen of ``_cancel_forms``
+# the prime of the sign solver's evaluations
 PRIME = (1 << 61) - 1
 
 
@@ -407,75 +409,29 @@ def poly_div_exact_int(p, k):
     return {m: c // k for m, c in p.items()}
 
 
-def poly_div_linear(p, form):
-    """Exact division of an integer polynomial by a primitive linear form;
-    returns the integer quotient or None when the division is not exact.
-
-    Writing p = sum_k A_k x^k in the pivot variable and f = a*x + r, the
-    scaled tails T_0 = A_d, T_j = a^j A_{d-j} - r T_{j-1} stay integral and
-    give Q_{d-1-j} = T_j / a^{j+1} with remainder T_d; everything runs on
-    integer polynomial kernels.
-    """
-    if not p:
-        return {}
-    piv = 0 if form[0] else (1 if form[1] else 2)
-    a = form[piv]
-    rest = tuple(0 if i == piv else form[i] for i in range(3))
-    levels = {}
-    for m, c in p.items():
-        base = list(m)
-        k = base[piv]
-        base[piv] = 0
-        lvl = levels.setdefault(k, {})
-        lvl[tuple(base)] = lvl.get(tuple(base), 0) + c
-    deg = max(levels)
-    if deg == 0:
-        return None
-    tails = []
-    t = levels.get(deg, {})
-    tails.append(t)
-    apow = 1
-    for j in range(1, deg + 1):
-        apow *= a
-        t = poly_sub(poly_scale(levels.get(deg - j, {}), apow), poly_linear_mul(t, rest))
-        if j < deg:
-            tails.append(t)
-    if t:
-        return None
-    out = {}
-    apow = 1
-    for j, tail in enumerate(tails):
-        apow *= a
-        kpiv = deg - 1 - j
-        for m, c in tail.items():
-            if c % apow:
-                # cannot happen for a primitive divisor over the integers
-                return None
-            q = c // apow
-            if q:
-                key = (kpiv, m[1], m[2]) if piv == 0 else (
-                    (m[0], kpiv, m[2]) if piv == 1 else (m[0], m[1], kpiv)
-                )
-                out[key] = q
-    return out
-
-
 def poly_lift_add(n1, forms1, n2, forms2):
     """n1 * prod(forms1) + n2 * prod(forms2) for integer polynomials n1, n2
-    and lists of linear forms, by Kronecker substitution.
+    and lists of linear forms, by Kronecker substitution (``_lift``)."""
+    total, stride, size = _lift(((n1, 1, forms1), (n2, 1, forms2)))
+    return _unchunk({t: _split(x, t, stride, size) for t, x in total.items() if x}, size)
 
-    Each homogeneous component of degree t becomes one signed-digit int
-    holding the coefficient of l1^a l2^b l3^(t-a-b) in slot a + b*S of w
-    bits, that is its value at l1 = 2^w, l2 = 2^(w*S), l3 = 1.  Multiplying
-    by c1*l1 + c2*l2 + c3*l3 is then c1*(x << w) + c2*(x << w*S) + c3*x and
-    raises the degree by one.  S exceeds every lifted degree, and 2^(w-1)
-    exceeds ||n1||_1 * prod ||f||_1 + ||n2||_1 * prod ||g||_1, which bounds
-    every coefficient of the result, so the slots of the sum decode exactly.
-    """
-    addends = [(n, forms) for n, forms in ((n1, forms1), (n2, forms2)) if n]
+
+def _lift(addends):
+    """The sum of k * n * prod(forms) over the triples (n, k, forms) of
+    ``addends``, as (total, stride, size): total maps each degree t to the
+    packed int of the homogeneous component of degree t.
+
+    That int holds the coefficient of l1^a l2^b l3^(t-a-b) as a signed digit
+    in slot a + b*stride of w = 8*size bits, that is, it is the value of the
+    component at l1 = 2^w, l2 = 2^(w*stride), l3 = 1.  Multiplying by
+    c1*l1 + c2*l2 + c3*l3 is then c1*(x << w) + c2*(x << w*stride) + c3*x
+    and raises the degree by one.  The stride exceeds every lifted degree,
+    and 2^(w-1) exceeds the sum of |k| * ||n||_1 * prod ||f||_1, which bounds
+    every coefficient of the sum, so its slots decode exactly."""
+    addends = [a for a in addends if a[0]]
     bound = top = 0
-    for n, forms in addends:
-        b = sum(map(abs, n.values()))
+    for n, k, forms in addends:
+        b = sum(map(abs, n.values())) * abs(k)
         for f in forms:
             b *= abs(f[0]) + abs(f[1]) + abs(f[2])
         bound += b
@@ -485,8 +441,10 @@ def poly_lift_add(n1, forms1, n2, forms2):
     stride = top + 1
     ws = w * stride
     total = {}
-    for n, forms in addends:
+    for n, k, forms in addends:
         for t, x in _pack(n, stride, size).items():
+            if k != 1:
+                x *= k
             for c1, c2, c3 in forms:
                 y = c3 * x if c3 else 0
                 if c1:
@@ -496,10 +454,7 @@ def poly_lift_add(n1, forms1, n2, forms2):
                 x = y
             t += len(forms)
             total[t] = total.get(t, 0) + x
-    out = {}
-    for t, x in total.items():
-        _unpack(x, t, stride, size, out)
-    return out
+    return total, stride, size
 
 
 def _pack(p, stride, size):
@@ -520,25 +475,224 @@ def _pack(p, stride, size):
     return out
 
 
-def _unpack(x, t, stride, size, out):
-    """Store in ``out`` the nonzero coefficients of the degree-t component
-    packed in x.  Adding 2^(w-1) to each slot a + b*stride with a + b <= t
-    makes every digit of those slots non-negative, so they read off the
-    bytes; the other slots are not offset and are never read."""
-    half = 1 << (8 * size - 1)
-    one, zero = half.to_bytes(size, "little"), bytes(size)
+# ---------------------------------------------------------------------------
+# chunked numerators: the trial divisions of a sum, on ints
+#
+# A numerator is held here as (comps, size): comps maps the degree t of each
+# nonzero homogeneous component to its chunks [n_0, ..., n_t].  With l3 set
+# to 1, the component is sum_b l2^b N_b(l1), and chunk n_b = N_b(2^w), w =
+# 8*size: slot a of n_b holds the coefficient of l1^a l2^b l3^(t-a-b) as a
+# signed digit, for a = 0..t-b.  Every digit lies strictly between -2^(w-1)
+# and 2^(w-1), so the t-b+1 slots of a chunk decode exactly.
+
+# the prime of the trial-division screen, below 2^30 so that reducing a
+# chunk modulo it is one pass over its digits.  2 generates its
+# multiplicative group, so 2^w is 1 modulo it only if its order 2^30 - 36
+# divides w (modulo 2^61 - 1 that happens whenever 61 divides w).
+SCREEN_PRIME = (1 << 30) - 35
+
+# the result of a division whose quotient needs wider slots
+_WIDER = object()
+
+
+def _repeat(h, size, n):
+    """h in each of the lowest n slots of ``size`` bytes."""
+    return int.from_bytes(h.to_bytes(size, "little") * n, "little")
+
+
+def _split(x, t, stride, size):
+    """The chunks of the degree-t component packed in x (``_lift``): chunk
+    n_b is slots b*stride .. b*stride + t-b of x.  Adding 2^(w-1) to each
+    of those slots makes every digit in them non-negative, so a chunk reads
+    off the bytes and has the offset taken off again; the other slots are
+    not offset and never read."""
+    w = 8 * size
+    one, zero = (1 << (w - 1)).to_bytes(size, "little"), bytes(size)
     offset = int.from_bytes(
         b"".join(one * (t - b + 1) + zero * (stride - t + b - 1) for b in range(t + 1)),
         "little",
     )
     data = memoryview((x + offset).to_bytes((t * stride + 1) * size, "little"))
+    low = int.from_bytes(one * (t + 1), "little")
+    ws = stride * size
+    out = []
     for b in range(t + 1):
-        i = b * stride * size
-        for a in range(t - b + 1):
-            k = int.from_bytes(data[i:i + size], "little") - half
-            if k:
-                out[a, b, t - a - b] = k
-            i += size
+        out.append(int.from_bytes(data[b * ws:b * ws + (t - b + 1) * size], "little") - low)
+        low >>= w
+    return out
+
+
+def _chunks(p):
+    """The nonzero integer polynomial p as a chunked numerator (comps, size),
+    with the narrowest byte-wide slots that hold its coefficients."""
+    size = (max(map(abs, p.values())).bit_length() + 8) // 8
+    stride = max(map(sum, p)) + 1
+    comps = {t: _split(x, t, stride, size) for t, x in _pack(p, stride, size).items()}
+    return comps, size
+
+
+def _unchunk(comps, size):
+    """The chunked numerator as a polynomial: chunk n_b of t-b+1 slots plus
+    2^(w-1) in each slot has non-negative digits, which read off its bytes."""
+    w = 8 * size
+    half = 1 << (w - 1)
+    out = {}
+    for t, ch in comps.items():
+        low = _repeat(half, size, t + 1)
+        for b, n in enumerate(ch):
+            slots = t - b + 1
+            data = memoryview((n + low).to_bytes(slots * size, "little"))
+            low >>= w
+            i = 0
+            for a in range(slots):
+                k = int.from_bytes(data[i:i + size], "little") - half
+                if k:
+                    out[a, b, t - a - b] = k
+                i += size
+    return out
+
+
+def _widen(comps, size):
+    """The same chunked numerator in slots of twice the width: each slot,
+    offset by 2^(w-1) to a non-negative digit, is copied with zero bytes
+    above it, and the offset is taken off again."""
+    half = 1 << (8 * size - 1)
+    pad = bytes(size)
+    out = {}
+    for t, ch in comps.items():
+        wide = []
+        for b, n in enumerate(ch):
+            slots = t - b + 1
+            data = (n + _repeat(half, size, slots)).to_bytes(slots * size, "little")
+            data = b"".join(data[i:i + size] + pad for i in range(0, slots * size, size))
+            wide.append(int.from_bytes(data, "little") - _repeat(half, 2 * size, slots))
+        out[t] = wide
+    return out, 2 * size
+
+
+def _screen_chunks(comps, size, forms):
+    """The forms of ``forms`` that can divide the chunked numerator N.
+
+    A form f = c1*l1 + c2*l2 + c3*l3 with c2 != 0 is kept only if N vanishes
+    modulo SCREEN_PRIME at the point (beta, y, 1) of its plane, beta = 2^w:
+    the chunk residues r_b = n_b = N_b(beta) modulo the prime give
+    N(beta, y, 1) = sum_b r_b y^b, one Horner evaluation per form at
+    y = -(c1*beta + c3) / c2.  If f divides N, f vanishes there and so does
+    N, so a nonzero value proves that f does not divide N, nor any quotient
+    of N.  Forms with c2 = 0 are all kept: their division
+    (``_divide_chunks``) rejects top chunk first, the shortest first."""
+    P = SCREEN_PRIME
+    keep = []
+    res = None
+    for f in forms:
+        c1, c2, c3 = f
+        if c2:
+            if res is None:
+                beta = pow(2, 8 * size, P)
+                res = [0] * (max(comps) + 1)
+                for ch in comps.values():
+                    for b, n in enumerate(ch):
+                        res[b] += n % P
+                res.reverse()
+            y = -(c1 * beta + c3) * pow(c2, -1, P) % P
+            v = 0
+            for r in res:
+                v = (v * y + r) % P
+            if v:
+                continue
+        keep.append(f)
+    return keep
+
+
+def _divide_chunks(comps, size, form):
+    """The quotient of the chunked numerator N by the primitive form f =
+    c1*l1 + c2*l2 + c3*l3 as chunks of the same size; None if f does not
+    divide N, and _WIDER if the quotient may need wider slots.
+
+    Each homogeneous component N, of degree t, is divided on its own.  If
+    N = f*Q, then Q has degree t-1 and, with D = c1*2^w + c3 and the chunks
+    q_b of Q (q_t = q_{-1} = 0), comparing the coefficients of l2^b gives
+
+        n_b = D*q_b + c2*q_{b-1}        for b = 0..t.
+
+    For c2 != 0 they are solved from the top chunk down, q_{b-1} = (n_b -
+    D*q_b) / c2, and then n_0 = D*q_0 is checked; for c2 = 0, n_t = 0 is
+    checked and each other chunk divided, q_b = n_b / D, top chunk first.
+    A nonzero remainder or a failed check therefore proves that f does not
+    divide N.
+
+    If every remainder is zero and every check holds, the division is
+    proven by one more check on each q_b: with 2^k >= ||f||_1 = |c1| + |c2|
+    + |c3| and h = 2^(w-1-k), q_b plus h in each of its t-b slots must lie
+    in [0, 2^(w*(t-b))) with the top k bits of every slot clear, that is,
+    q_b = Q_b(2^w) for a polynomial Q_b of degree below t-b whose digits
+    lie in [-h, h).  The digits of (c1*x + c3)*Q_b(x) + c2*Q_{b-1}(x) are
+    then at most ||f||_1 * h <= 2^(w-1) in absolute value, those of N_b
+    below 2^(w-1), and both take the value n_b at x = 2^w.  Two integer
+    polynomials whose digits differ by less than 2^w and that agree at 2^w
+    are equal (the lowest digit of their difference would be a nonzero
+    multiple of 2^w), so N_b = (c1*x + c3)*Q_b + c2*Q_{b-1} for every b,
+    that is N = f*Q, with Q of degree t-1.  The digits of Q are below
+    2^(w-1) in absolute value again: at most 2^(w-2) if k >= 1, and those
+    of N if f is l1 or l2 (k = 0).  When some q_b fails this check but the
+    rest holds, the slots are widened and the division redone
+    (``_cancel_forms``).  That ends: if f does not divide N, then for c2
+    != 0 the identities imply R(2^w) = 0 for the nonzero polynomial R(x) =
+    c2^t * N(x, -(c1*x + c3)/c2, 1), and for c2 = 0 they imply that D
+    divides the nonzero remainder of c1^t * N_b by c1*x + c3, for some b.
+    Neither holds once 2^w is large enough.
+
+    For f = l3, N is divisible exactly when it has no monomial free of l3,
+    that is, when slot t-b of every chunk n_b is 0; the quotient's chunks
+    are those of N, without n_t."""
+    c1, c2, c3 = form
+    w = 8 * size
+    if not (c1 or c2):
+        for t, ch in comps.items():
+            low = 0  # 2^(w-1) in each of the t-b slots below the top one
+            for b in range(t, -1, -1):
+                if (ch[b] + low) >> (w * (t - b)):
+                    return None
+                low = low << w | 1 << (w - 1)
+        return {t - 1: ch[:-1] for t, ch in comps.items()}
+    d = (c1 << w) + c3
+    k = (abs(c1) + abs(c2) + abs(c3) - 1).bit_length()
+    h, top = 1 << (w - 1 - k), ((1 << k) - 1) << (w - k)
+    wider = False
+    out = {}
+    for t, ch in comps.items():
+        # the quotient's chunks from the top one down, q_b having t-b slots;
+        # for L slots, hs holds h in each and xs = -2^(w*L) + top in each,
+        # so (q + hs) & xs is 0 exactly when q is in the digit bound
+        qs = [0] * t
+        hs, xs = 0, -1
+        if c2:
+            q = 0
+            for b in range(t - 1, -1, -1):
+                q = ch[b + 1] - d * q
+                if c2 != 1:
+                    q, r = divmod(q, c2)
+                    if r:
+                        return None
+                hs, xs = hs << w | h, (xs << w) + top
+                if (q + hs) & xs:
+                    wider = True
+                qs[b] = q
+            if ch[0] != d * q:
+                return None
+        else:
+            if ch[t]:
+                return None
+            for b in range(t - 1, -1, -1):
+                q, r = divmod(ch[b], d)
+                if r:
+                    return None
+                hs, xs = hs << w | h, (xs << w) + top
+                if (q + hs) & xs:
+                    wider = True
+                qs[b] = q
+        out[t - 1] = qs
+    return _WIDER if wider else out
 
 
 def poly_substitute(p, forms):
@@ -583,85 +737,41 @@ def render_poly(p):
 
 
 def _expand_product(c, factors):
-    """The polynomial c * prod p^e, multiplied out in sorted factor order."""
-    out = poly_const(c)
-    for p in sorted(factors):
-        for _ in range(factors[p]):
-            out = poly_linear_mul(out, p)
-    return out
+    """The polynomial c * prod p^e, as one Kronecker product (``_lift``)."""
+    return poly_lift_add(poly_const(c), [p for p, e in factors.items() for _ in range(e)], {}, [])
 
 
-def _cancel_forms(num, factors, forms):
-    """Divide num by each form p of ``forms`` while exact, at most
-    factors[p] times, and lower factors[p] in place to the exponent left
-    over, deleting it at 0; returns the quotient.
+def _cancel_forms(comps, size, factors, forms):
+    """Divide the chunked numerator (comps, size) by each form p of
+    ``forms`` while exact, at most factors[p] times, and lower factors[p] in
+    place to the exponent left over, deleting it at 0.  Returns the
+    quotient as (comps, size), or None if no form divides.
 
-    A form is trial-divided only if num vanishes modulo PRIME at one point
-    of its plane (``_screen``): a nonzero value proves that it does not
-    divide num, nor any quotient of num.  So the surviving forms are
-    screened again only after a division succeeds."""
-    while num and forms:
-        forms = _screen(num, forms)
+    Only the forms that ``_screen_chunks`` keeps are divided
+    (``_divide_chunks``), and a screen that rules a form out also rules it
+    out for every quotient, so the forms are screened again only after a
+    division succeeds.  A division that needs wider slots doubles them and
+    is redone."""
+    divided = False
+    while forms:
+        forms = _screen_chunks(comps, size, forms)
         for i, p in enumerate(forms):
-            q = poly_div_linear(num, p)
+            q = _divide_chunks(comps, size, p)
+            while q is _WIDER:
+                comps, size = _widen(comps, size)
+                q = _divide_chunks(comps, size, p)
             if q is not None:
                 break
         else:
             break
-        num = q
+        comps, divided = q, True
         if factors[p] > 1:
             factors[p] -= 1
             forms = forms[i:]
         else:
             del factors[p]
             forms = forms[i + 1:]
-    return num
-
-
-# a point (l1, l2, l3) mod PRIME; for each pivot axis its other two
-# coordinates fix the point of a form's plane at which ``_screen`` evaluates.
-# Any point is sound: one where num happens to vanish only leaves the
-# decision to the exact division.
-_SCREEN_POINT = (1442695040888963407, 2305843009213693921, 1181783497276652981)
-
-
-def _screen(num, forms):
-    """The forms of ``forms`` on whose plane num vanishes modulo PRIME at
-    the point whose other coordinates are those of _SCREEN_POINT; every
-    form dividing num is among them.  num is reduced once per pivot axis
-    (the first nonzero coefficient of a form) to a univariate polynomial
-    mod PRIME, and each form costs one Horner evaluation."""
-    rows = {}
-    keep = []
-    for f in forms:
-        axis = 0 if f[0] else (1 if f[1] else 2)
-        row = rows.get(axis)
-        if row is None:
-            row = rows[axis] = _restrict(num, axis)
-        rest = sum(c * v for i, (c, v) in enumerate(zip(f, _SCREEN_POINT)) if i != axis)
-        x = -rest * pow(f[axis], -1, PRIME) % PRIME
-        v = 0
-        for c in row:
-            v = (v * x + c) % PRIME
-        if not v:
-            keep.append(f)
-    return keep
-
-
-def _restrict(num, axis):
-    """The coefficients mod PRIME, highest first, of num as a polynomial in
-    l_(axis+1) with the other two variables set to their _SCREEN_POINT
-    coordinates."""
-    j, k = [i for i in range(3) if i != axis]
-    pj, pk = [1], [1]
-    for _ in range(max(map(sum, num))):
-        pj.append(pj[-1] * _SCREEN_POINT[j] % PRIME)
-        pk.append(pk[-1] * _SCREEN_POINT[k] % PRIME)
-    coeffs = {}
-    for m, c in num.items():
-        e = m[axis]
-        coeffs[e] = coeffs.get(e, 0) + c * pj[m[j]] * pk[m[k]]
-    return [coeffs.get(e, 0) % PRIME for e in range(max(coeffs), -1, -1)]
+    return (comps, size) if divided else None
 
 
 def _drop_content(num, scalar):
@@ -686,8 +796,10 @@ class LambdaRat:
     -1).expand()``.
 
     A sum lifts both numerators to the common denominator as packed
-    integers (``poly_lift_add``) and trial-divides only the forms that a
-    screen modulo PRIME cannot rule out (``_cancel_forms``).
+    integers (``_lift``), splits each component into one int per power of
+    l2, and divides those ints exactly by the forms that may cancel and
+    that a screen modulo SCREEN_PRIME cannot rule out (``_cancel_forms``);
+    the constructor runs the same divisions on its numerator, packed.
     """
 
     __slots__ = ("num", "scalar", "factors", "_den")
@@ -699,9 +811,12 @@ class LambdaRat:
         if scalar < 1:
             raise ValueError("scalar must be a positive int")
         out_facs = {p: factors[p] for p in sorted(factors or ()) if factors[p] > 0}
-        num = _cancel_forms(
-            {tuple(m): c for m, c in num.items() if c}, out_facs, list(out_facs)
-        )
+        num = {tuple(m): c for m, c in num.items() if c}
+        if num and out_facs:
+            comps, size = _chunks(num)
+            cancelled = _cancel_forms(comps, size, out_facs, list(out_facs))
+            if cancelled:
+                num = _unchunk(*cancelled)
         if not num:
             scalar, out_facs = 1, {}
         num, scalar = _drop_content(num, scalar)
@@ -738,8 +853,13 @@ class LambdaRat:
         whose exponent differs between the addends cannot divide the sum:
         modulo that prime the sum is the lifted numerator of the addend
         with the higher power, a product of factors prime to it.  So only
-        the forms with equal exponents are trial-divided.  The numerators
-        are lifted and added in one ``poly_lift_add``."""
+        the forms with equal exponents are trial-divided.
+
+        The sum stays packed from the lift to the final quotient: both
+        numerators are lifted and added as packed ints (``_lift``), each
+        component is split once into chunks, one per power of l2
+        (``_split``), the shared forms are screened and divided on those
+        ints (``_cancel_forms``), and the quotient is unpacked once."""
         if isinstance(other, int):
             other = LambdaRat.from_int(other)
         if not self.num:
@@ -758,13 +878,15 @@ class LambdaRat:
             lf[p] = max(e1, e2)
             if e1 == e2:
                 shared.append(p)
-        num = poly_lift_add(
-            poly_scale(self.num, s2 // g), lift1, poly_scale(other.num, s1 // g), lift2
+        total, stride, size = _lift(
+            ((self.num, s2 // g, lift1), (other.num, s1 // g, lift2))
         )
-        num = _cancel_forms(num, lf, shared)
-        if not num:
+        comps = {t: _split(x, t, stride, size) for t, x in total.items() if x}
+        if not comps:
             return LambdaRat.from_int(0)
-        num, scalar = _drop_content(num, s1 // g * s2)
+        if shared:
+            comps, size = _cancel_forms(comps, size, lf, shared) or (comps, size)
+        num, scalar = _drop_content(_unchunk(comps, size), s1 // g * s2)
         return LambdaRat._normal(num, scalar, lf)
 
     __radd__ = __add__

@@ -332,6 +332,15 @@ class TestCriterion7Determinism:
             ok = ok and outs[0] == outs[1]
         report("7a byte-identical output across hash seeds", ok)
 
+    def test_empty_vertex_rendering_pinned(self):
+        # the empty DT vertex mod q^6 is 96% exact sums: a kernel that
+        # renders any coefficient differently changes this hash
+        pin = json.loads((Path(__file__).parent / "data" / "empty_vertex.json").read_text())
+        buf = io.StringIO()
+        assert main(pin["argv"], out=buf) == 0
+        report("7c empty DT vertex mod q^6 renders as recorded",
+               sha(buf.getvalue()) == pin["sha256"])
+
     def test_repeat_runs_identical(self):
         a = check_nekrasov(3).render_json()
         b = check_nekrasov(3).render_json()

@@ -74,6 +74,22 @@ class TestVertexCommand:
         assert rc == 0
         assert "signs witness" in out
 
+    @pytest.mark.parametrize(
+        "legs, order, dt_points",
+        [("[],[],[],[]", 5, 42), ("[],[[1]],[],[]", 4, 38)],
+        ids=["empty-q5", "one-leg-q4"],
+    )
+    def test_solve_policy_solves_the_orders_the_series_uses(self, legs, order, dt_points):
+        # mod q^N the series has DT roots through q^(N-1) only; solving one
+        # order more needed 59 and 67 unknowns here, beyond the solver bound
+        rc, out = run(
+            ["vertex", "--flavor", "dt", "--legs", legs, "--order", str(order),
+             "--sign-policy", "solve", "--no-cache"]
+        )
+        assert rc == 0
+        witness = out.split("signs witness:\n")[1].splitlines()
+        assert sum(1 for line in witness if line[4:7] == "dt:") == dt_points
+
     def test_signs_file_policy(self, tmp_path):
         from dt4vertex.signsearch import check_nekrasov
 
@@ -148,6 +164,21 @@ class TestCheckCommands:
     def test_nekrasov(self):
         rc, out = run(["check", "nekrasov", "--order", "2"])
         assert rc == 0
+        assert "PASS" in out
+
+    @pytest.mark.parametrize("name", ["missing/report.txt", ""], ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, name):
+        path = tmp_path / name
+        rc, out = run(["check", "nekrasov", "--order", "1", "--output", str(path)])
+        assert rc == 2
+        assert out.startswith(f"error: cannot write output file {str(path)!r}: ")
+        assert out.count("\n") == 1
+
+    def test_output_file_holds_the_report(self, tmp_path):
+        path = tmp_path / "report.txt"
+        rc, out = run(["check", "nekrasov", "--order", "1", "--output", str(path)])
+        assert rc == 0
+        assert path.read_text(encoding="utf-8") == out
         assert "PASS" in out
 
     def test_nekrasov_json(self):

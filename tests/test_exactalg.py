@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dt4vertex.exactalg import (
-    PRIME,
+    SCREEN_PRIME,
     DivisionNotUnit,
     FactoredWeightProduct,
     LambdaRat,
@@ -16,7 +16,6 @@ from dt4vertex.exactalg import (
     canonical_form,
     evaluate_all_mod,
     laurent_div_binomial,
-    poly_div_linear,
     lambdarat_sum,
     poly_add,
     poly_from_form,
@@ -25,10 +24,20 @@ from dt4vertex.exactalg import (
     poly_mul,
     poly_neg,
     poly_scale,
+    poly_sub,
     qexp,
     weight_form,
 )
-from dt4vertex.exactalg import _cancel_forms, _screen
+from dt4vertex.exactalg import (
+    _WIDER,
+    _cancel_forms,
+    _chunks,
+    _divide_chunks,
+    _expand_product,
+    _screen_chunks,
+    _unchunk,
+    _widen,
+)
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -138,6 +147,63 @@ class TestWeightForm:
             assert iszero == (w[0] == w[1] == w[2] == w[3])
 
 
+def poly_div_linear(p, form):
+    """Dict oracle: the exact quotient of an integer polynomial by a
+    primitive linear form, or None when the division is not exact.
+
+    Writing p = sum_k A_k x^k in the pivot variable and f = a*x + r, the
+    scaled tails T_0 = A_d, T_j = a^j A_{d-j} - r T_{j-1} stay integral and
+    give Q_{d-1-j} = T_j / a^{j+1} with remainder T_d."""
+    if not p:
+        return {}
+    piv = 0 if form[0] else (1 if form[1] else 2)
+    a = form[piv]
+    rest = tuple(0 if i == piv else form[i] for i in range(3))
+    levels = {}
+    for m, c in p.items():
+        base = list(m)
+        k = base[piv]
+        base[piv] = 0
+        lvl = levels.setdefault(k, {})
+        lvl[tuple(base)] = lvl.get(tuple(base), 0) + c
+    deg = max(levels)
+    if deg == 0:
+        return None
+    tails = [levels.get(deg, {})]
+    t = tails[0]
+    apow = 1
+    for j in range(1, deg + 1):
+        apow *= a
+        t = poly_sub(poly_scale(levels.get(deg - j, {}), apow), poly_linear_mul(t, rest))
+        if j < deg:
+            tails.append(t)
+    if t:
+        return None
+    out = {}
+    apow = 1
+    for j, tail in enumerate(tails):
+        apow *= a
+        for m, c in tail.items():
+            assert c % apow == 0
+            key = list(m)
+            key[piv] = deg - 1 - j
+            out[tuple(key)] = c // apow
+    return out
+
+
+def packed_div(p, f):
+    """The quotient of p by f from the packed kernels, as ``_cancel_forms``
+    runs them: chunks, division, and wider slots until one decides."""
+    if not p:
+        return {}
+    comps, size = _chunks(p)
+    q = _divide_chunks(comps, size, f)
+    while q is _WIDER:
+        comps, size = _widen(comps, size)
+        q = _divide_chunks(comps, size, f)
+    return None if q is None else _unchunk(q, size)
+
+
 class TestPolyDivLinear:
     def test_roundtrip_random(self):
         rng = random.Random(7)
@@ -153,10 +219,12 @@ class TestPolyDivLinear:
             f = canonical_form(f)[2]
             p = poly_mul(q, poly_from_form(f))
             assert poly_div_linear(p, f) == q
+            assert packed_div(p, f) == q
 
     def test_inexact_returns_none(self):
-        assert poly_div_linear({(0, 0, 0): 1}, (1, 0, 0)) is None
-        assert poly_div_linear({(1, 0, 0): 1, (0, 0, 0): 1}, (1, 1, 0)) is None
+        for p, f in [({(0, 0, 0): 1}, (1, 0, 0)), ({(1, 0, 0): 1, (0, 0, 0): 1}, (1, 1, 0))]:
+            assert poly_div_linear(p, f) is None
+            assert packed_div(p, f) is None
 
 
 def random_poly(rng, nterms, deg=4, coeff=9):
@@ -248,6 +316,14 @@ PIVOT_FORMS = {
 }
 
 
+def cancel(num, factors, forms):
+    """``_cancel_forms`` on a polynomial: the quotient, or num itself when no
+    form divides."""
+    comps, size = _chunks(num)
+    cancelled = _cancel_forms(comps, size, factors, forms)
+    return _unchunk(*cancelled) if cancelled else num
+
+
 class TestTrialDivisionScreen:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_planted_powers_are_removed(self, axis):
@@ -262,8 +338,8 @@ class TestTrialDivisionScreen:
                     other = rng.choice(PIVOT_FORMS[(axis + 1) % 3])
                     factors = {f: k + extra, other: 1}
                     num = lift_chain(q, [f] * k)
-                    assert f in _screen(num, [f, other])
-                    got = _cancel_forms(num, factors, sorted(factors))
+                    assert f in _screen_chunks(*_chunks(num), [f, other])
+                    got = cancel(num, factors, sorted(factors))
                     assert poly_div_linear(got, f) is None
                     if poly_div_linear(q, other) is None:
                         assert got == q
@@ -279,25 +355,197 @@ class TestTrialDivisionScreen:
                 num = poly_linear_mul(num, rng.choice(forms))
             if not num:
                 continue
-            screened = _screen(num, forms)
+            screened = _screen_chunks(*_chunks(num), forms)
             assert screened == [f for f in forms if f in screened]
             for f in forms:
                 if f in screened:
                     kept += 1
                 else:
                     rejected += 1
+                    assert f[1]
                     assert poly_div_linear(num, f) is None
         assert rejected and kept
 
+    def test_two_generates_the_screen_group(self):
+        # so beta = 2^w modulo the prime is 1 only if p - 1 divides w
+        def is_prime(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        p = SCREEN_PRIME
+        factors = (2, 7, 2341, 16381)
+        assert is_prime(p) and all(map(is_prime, factors))
+        assert p - 1 == 2 * 2 * 7 * 2341 * 16381
+        assert all(pow(2, (p - 1) // q, p) != 1 for q in factors)
+
     def test_large_coefficients(self):
-        # coefficients far above PRIME reduce before the evaluation
+        # coefficients far above SCREEN_PRIME reduce before the evaluation
         f = (2, 1, 0)
-        q = {(3, 0, 0): PRIME * 5 + 1, (0, 2, 1): -(PRIME ** 2), (0, 0, 0): 7}
+        q = {(3, 0, 0): SCREEN_PRIME * 5 + 1, (0, 2, 1): -(SCREEN_PRIME ** 2), (0, 0, 0): 7}
         num = lift_chain(q, [f, f])
         factors = {f: 3}
-        assert _cancel_forms(num, factors, [f]) == q
+        assert cancel(num, factors, [f]) == q
         assert factors == {f: 1}
-        assert _screen({(0, 0, 0): PRIME}, [f]) == [f]
+        # a numerator the screen cannot rule out, which the division rejects
+        assert _screen_chunks(*_chunks({(0, 0, 0): SCREEN_PRIME}), [f]) == [f]
+        assert packed_div({(0, 0, 0): SCREEN_PRIME}, f) is None
+
+
+# primitive positive-lead forms: leads a != 1, c2 = 0, and l3
+DIV_FORMS = sorted(set(LIFT_FORMS) | {f for fs in PIVOT_FORMS.values() for f in fs}
+                   | {(2, 0, 1), (1, 0, -2), (3, -1, 2), (0, 3, 1), (4, 0, -3)})
+
+
+def chunk_values(p, w):
+    """{t: [n_0, .., n_t]}: the chunk ints of p at l1 = 2^w, whatever the
+    size of its coefficients."""
+    comps = {}
+    for (a, b, c), k in p.items():
+        t = a + b + c
+        ch = comps.setdefault(t, [0] * (t + 1))
+        ch[b] += k << (w * a)
+    return comps
+
+
+def balanced(comps, size):
+    """The polynomial whose chunks at w = 8*size are the ints of comps, with
+    digits in (-2^(w-1), 2^(w-1)); None if a chunk needs more slots."""
+    w = 8 * size
+    out = {}
+    for t, ch in comps.items():
+        for b, n in enumerate(ch):
+            for a in range(t - b + 1):
+                d = (n + (1 << (w - 1))) % (1 << w) - (1 << (w - 1))
+                if d == -(1 << (w - 1)):
+                    return None
+                if d:
+                    out[a, b, t - a - b] = d
+                n = (n - d) >> w
+            if n:
+                return None
+    return out
+
+
+class TestPackedDivision:
+    def test_divisible_random(self):
+        rng = random.Random(131)
+        for _ in range(400):
+            f = rng.choice(DIV_FORMS)
+            q = random_poly(rng, rng.randint(1, 10), coeff=rng.choice([1, 9, 200, 10**20]))
+            if not q:
+                continue
+            p = poly_linear_mul(q, f)
+            assert packed_div(p, f) == q
+
+    def test_non_divisible_random(self):
+        rng = random.Random(137)
+        tried = 0
+        for _ in range(400):
+            f = rng.choice(DIV_FORMS)
+            q = random_poly(rng, rng.randint(1, 10), coeff=rng.choice([1, 9, 10**20]))
+            p = poly_add(poly_linear_mul(q, f), random_poly(rng, rng.randint(1, 3)))
+            if p:
+                tried += 1
+                assert packed_div(p, f) == poly_div_linear(p, f)
+        assert tried > 300
+
+    def test_non_homogeneous_components_divide_alone(self):
+        # f divides every component but one: the division fails
+        rng = random.Random(139)
+        for f in DIV_FORMS:
+            q = {(2, 1, 0): 3, (0, 0, 1): -5, (1, 1, 1): 7}
+            p = poly_linear_mul(q, f)
+            assert packed_div(p, f) == q
+            for m in [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 1, 0), (3, 1, 0)]:
+                if f in ((1, 0, 0), (0, 1, 0)) and m[f.index(1)]:
+                    continue  # l1 or l2 divides the monomial
+                bad = poly_add(p, {m: rng.choice([-1, 1])})
+                assert poly_div_linear(bad, f) is None
+                assert packed_div(bad, f) is None
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8])
+    def test_coefficients_at_the_slot_bound(self, size):
+        top = (1 << (8 * size - 1)) - 1  # the largest coefficient of ``size`` bytes
+        for f in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 1), (0, 3, -2)]:
+            for c in (top, -top, top // 3, -(top // 5)):
+                q = {(1, 0, 1): c, (0, 2, 0): -c, (0, 0, 2): 1}
+                p = poly_linear_mul(q, f)
+                assert packed_div(p, f) == q
+                assert _unchunk(*_chunks(p)) == p
+                assert _unchunk(*_widen(*_chunks(p))) == p
+        # the widest coefficient of a size decides the size, one bit more does not fit
+        assert _chunks({(1, 1, 0): top})[1] == size
+        assert _chunks({(1, 1, 0): -top - 1})[1] == size + 1
+        assert _chunks({(1, 1, 0): top + 1})[1] == size + 1
+
+    def test_quotients_wider_than_the_numerator_widen(self):
+        # (l1 + l2) * sum_j (-1)^j l1^(n-j) l2^j = l1^(n+1) + (-1)^n l2^(n+1): the
+        # quotient's digits are as wide as the numerator's, then far wider
+        f = (1, 1, 0)
+        for c in (100, 127, 2**23 - 1):
+            q = {(3 - j, j, 0): c * (-1) ** j for j in range(4)}
+            p = poly_linear_mul(q, f)
+            assert max(map(abs, p.values())) == c
+            comps, size = _chunks(p)
+            assert _divide_chunks(comps, size, f) is _WIDER
+            assert packed_div(p, f) == q
+        q = {(1, 0, 0): 1, (0, 1, 0): -1}
+        for _ in range(6):
+            q = poly_mul(q, q)
+        p = poly_linear_mul(q, (1, 1, 1))
+        assert packed_div(p, (1, 1, 1)) == q
+
+    @pytest.mark.parametrize("f", [(1, 1, 1), (2, 0, 1), (1, -2, 0)])
+    def test_digit_bound_is_tight(self, f):
+        # ||f||_1 = 3, so quotient digits must lie in [-2^(w-3), 2^(w-3)).  A
+        # quotient Q with digits just inside [-2^(w-2), 2^(w-2)) gives a
+        # numerator N whose chunks are those of f*Q with the digits carried:
+        # every remainder and identity holds for N, so only the digit bound
+        # rules out f*Q = N, and N is not divisible by f.
+        rng = random.Random(149)
+        size, found = 1, 0
+        w = 8 * size
+        for _ in range(2000):
+            q = {(a, b, 2 - a - b): rng.choice([-1, 1]) * rng.randint(48, 63)
+                 for a in range(3) for b in range(3 - a) if rng.random() < 0.7}
+            if not q:
+                continue
+            n = balanced(chunk_values(poly_linear_mul(q, f), w), size)
+            if n is None or poly_div_linear(n, f) is not None:
+                continue
+            comps, size_n = _chunks(n)
+            if size_n != size:
+                continue
+            found += 1
+            assert _divide_chunks(comps, size, f) is _WIDER
+            assert packed_div(n, f) is None
+        assert found >= 20
+
+    def test_l3_tests_the_top_slot(self):
+        l3 = (0, 0, 1)
+        assert packed_div({(0, 0, 1): 5, (1, 1, 1): -2, (0, 0, 3): 1}, l3) == {
+            (0, 0, 0): 5, (1, 1, 0): -2, (0, 0, 2): 1
+        }
+        for m in [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 0)]:
+            for c in (1, -1, 127, -127, 128, 10**9):
+                p = {(1, 0, 1): 3, (0, 1, 1): -1, m: c}
+                assert packed_div(p, l3) is None
+
+    def test_expand_product_is_the_chain(self):
+        rng = random.Random(151)
+        assert _expand_product(5, {}) == {(0, 0, 0): 5}
+        for _ in range(100):
+            factors = {f: rng.randint(1, 4) for f in rng.sample(DIV_FORMS, rng.randint(1, 5))}
+            c = rng.choice([1, -1, 3, 10**12])
+            chain = poly_const_chain(c, factors)
+            assert _expand_product(c, factors) == chain
+
+
+def poly_const_chain(c, factors):
+    out = {(0, 0, 0): c}
+    for p in sorted(factors):
+        for _ in range(factors[p]):
+            out = poly_linear_mul(out, p)
+    return out
 
 
 class TestLambdaRat:
