@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .cache import VertexCache
 from .partitions import PlanePartition, SolidPartition
 from .ptconfig import TooManyLegs
-from .signsearch import SignAssignment, check_dtpt, check_nekrasov
+from .signsearch import MissingSign, SignAssignment, check_dtpt, check_nekrasov
 from .toric import (
     GeometryError,
     NoConsistentSigns,
@@ -86,6 +86,9 @@ def _load_signs(cfg, legs, cache):
     if cfg.sign_policy == "solve":
         # the series mod q^order has roots through q^(order - 1) only
         if all(pp.is_empty() for pp in legs):
+            if cfg.flavor == "pt":
+                # the empty PT vertex is 1 and reads no sign
+                return SignAssignment.canonical()
             rep = check_nekrasov(cfg.order - 1, cache=cache)
         else:
             lowest = SolidPartition(legs).renormalized_volume()
@@ -109,7 +112,10 @@ def cmd_vertex(cfg, out):
     legs = cfg.legs
     signs = _load_signs(cfg, legs, cache)
     fn = dt_vertex_series if cfg.flavor == "dt" else pt_vertex_series
-    series = fn(*legs, cfg.order, signs=signs, cache=cache)
+    try:
+        series = fn(*legs, cfg.order, signs=signs, cache=cache)
+    except MissingSign as exc:
+        raise ValueError(f"signs file has no sign for {exc.args[0]!r}") from None
     lowest = series.lowest_order
     normalized = series.shift(-lowest) if series.coeffs else series
     witness = {} if cfg.sign_policy == "canonical" else dict(signs.items())

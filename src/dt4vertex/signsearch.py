@@ -26,30 +26,21 @@ mirror.  The first of each pair is still verified exactly, and the negated
 list is the full solution set of the mirror, so this keeps every solution
 set sound and complete.
 
-Identities are solved in standard coordinates only, and a chart's report is
-transported from that solve.  A chart substitution acts on linear forms as
-an invertible linear map A, a field automorphism of Q(l1, l2, l3).  The
-fixed points and their order are the same in every chart, and the chart
-root of pi is s_pi A(r_pi), where s_pi = +-1 is the sign that
-``relabel_root`` drops (standard roots have sign +1).  The chart's target
-is A(exp(qC)), so each chart equation is A of a standard one, and its
-solutions are exactly the standard solutions multiplied by s, order by
-order and branch by branch.
-The report builders re-sort them as a direct solve would, and a failing
-order's residual is A of the standard residual with the signs s.  Equal
-values render to equal text, so transported reports are byte-identical to
-those of a direct solve in chart coordinates.
-
-The DT/PT identity is moreover solved once per orbit of leg sets under S4,
-the permutations of the four axes.  A permutation sigma keeps l1 + l2 + l3
-+ l4 = 0 and exp(qC), and it is the chart whose column i is e_sigma(i): it
-sends the fixed point pi of legs R to the fixed point sigma pi of sigma R,
-whose canonical root is ``relabel_root`` of r_pi, that is s_pi A(r_pi).  So
-the identity for sigma R is A of the one for R, and ``solve_dtpt`` solves a
-representative R directly and transports that solve to sigma R exactly as
-a chart report is transported, with the keys and terms of each order put in
-sigma R's enumeration order.  The result is the solve a direct solve of
-sigma R returns, field by field.
+Identities are solved in standard coordinates, and the DT/PT identity once
+per orbit of leg sets under S4, the permutations of the four axes; every
+other solve and every chart report is moved from one of these by one exact
+move, ``move_order``.  A chart substitution acts on linear forms as an
+invertible linear map A, a field automorphism of Q(l1, l2, l3), and a
+permutation sigma is the chart whose column i is e_sigma(i).  A chart sends
+the fixed point pi to the fixed point with the same key behind the chart's
+prefix, sigma sends pi of legs R to sigma pi of sigma R, and in both cases
+the new root is ``relabel_root`` of r_pi, that is s_pi A(r_pi) with s_pi =
++-1.  The target becomes A(exp(qC)), which sigma keeps, so each moved
+equation is A of an old one: a parent's solutions are its old ones
+multiplied by s and re-sorted, the branches are replayed in that order, and
+each kept right-hand side becomes A(rhs).  Equal values render to equal
+text, so a moved solve equals a direct solve in the new coordinates field by
+field, and its reports are byte-identical to the direct ones.
 """
 
 from __future__ import annotations
@@ -418,12 +409,12 @@ def nekrasov_rational_subst(forms):
 
 
 # ---------------------------------------------------------------------------
-# solves in standard coordinates, reports in any chart
+# solves, and the one move between coordinates
 
 
 @dataclass
 class OrderSolve:
-    """One q-order of a sign solve in standard coordinates.
+    """One q-order of a sign solve.
 
     ``keys`` and ``roots`` list the nonzero terms, the first ``n_dt`` of
     them DT terms, and ``free`` the keys of the zero terms.  The unknowns
@@ -452,39 +443,59 @@ def _order_solve(order, dt_pairs, pt_pairs):
     )
 
 
-def _chart(subst):
-    """(sign-key prefix, substitution forms) of a chart; forms is None in
-    standard coordinates."""
-    prefix = subst_key(subst)
-    return prefix, substitution_forms(subst) if prefix else None
+def move_order(o, forms, pairs, parents):
+    """(moved, children): the OrderSolve o moved by the chart A with forms
+    ``forms``, and the old index of each of its children.
+
+    ``pairs`` lists (new key, old key) for every fixed point in the new
+    enumeration order, DT before PT, and ``parents`` the old index of each
+    parent branch in the new order.  The root of an old key becomes
+    relabel_root of it, s A(r), and a kept right-hand side A(rhs), so each
+    parent's solutions are its old ones multiplied by s and re-sorted; its
+    children follow in that order."""
+    index = {k: i for i, k in enumerate(o.keys)}
+    keys, old, free = [], [], []
+    for key, pre in pairs:
+        if pre in index:
+            keys.append(key)
+            old.append(index[pre])
+        else:
+            free.append(key)
+    signs, roots = [], []
+    for i in old:
+        s, root = relabel_root(o.roots[i], forms)
+        signs.append(s)
+        roots.append(root)
+    starts = list(itertools.accumulate(map(len, o.solutions), initial=0))
+    solutions, children = [], []
+    for j in parents:
+        moved = sorted(
+            (tuple(eps[i] * s for i, s in zip(old, signs)), starts[j] + c)
+            for c, eps in enumerate(o.solutions[j])
+        )
+        solutions.append([eps for eps, _ in moved])
+        children += [child for _, child in moved]
+    rhs = None if o.rhs is None else [o.rhs[j].substitute(forms) for j in parents]
+    return OrderSolve(o.order, keys, roots, o.n_dt, free, solutions, rhs), children
 
 
-def chart_sign(root, forms):
-    """The sign s = +-1 with relabel_root(root, forms) = s * A(root), where
-    A is the substitution l_i -> forms[i]: the sign ``relabel_root`` drops.
-    Standard roots carry sign +1, so this is the sign of the substituted
-    root; it is +1 in standard coordinates (forms None)."""
-    return 1 if forms is None else root.value.substitute(forms).sign
+def _chart_pairs(o, prefix):
+    """The (new key, old key) pairs of o in a chart: its own keys, in its
+    own order, behind the chart's prefix."""
+    return [(prefix + k, k) for k in o.keys + o.free]
 
 
-def _order_signs(o, eps, prefix):
-    """The sign of every key of one order under the sign vector eps, each
-    key behind the chart's prefix."""
-    out = {
-        prefix + k: e if i < o.n_dt else -e
-        for i, (k, e) in enumerate(zip(o.keys, eps))
-    }
-    out.update({prefix + k: 1 for k in o.free})
+def _order_signs(o, eps):
+    """The sign of every key of one order under the sign vector eps."""
+    out = {k: e if i < o.n_dt else -e for i, (k, e) in enumerate(zip(o.keys, eps))}
+    out.update(dict.fromkeys(o.free, 1))
     return out
 
 
-def _residual(o, parent, s, forms):
-    """The canonical-sign residual of a parent in the chart: the chart's
-    terms are s_i A(a_i) and its right-hand side is A(rhs), so the residual
-    is A(sum s_i a_i - rhs)."""
-    gap = lambdarat_sum([r.expand().scale(t) for r, t in zip(o.roots, s)])
-    gap = gap - o.rhs[parent]
-    return (gap if forms is None else gap.substitute(forms)).render()
+def _residual(o, parent):
+    """The canonical-sign residual of a parent: the sum of the order's
+    roots less the parent's right-hand side."""
+    return (lambdarat_sum([r.expand() for r in o.roots]) - o.rhs[parent]).render()
 
 
 # ---------------------------------------------------------------------------
@@ -514,26 +525,27 @@ def solve_nekrasov(order, cache=None):
 
 
 def nekrasov_report(orders, subst=None):
-    """The report of ``check_nekrasov`` in the chart ``subst``, transported
-    from the standard solve ``orders``: with the chart's roots s_pi A(r_pi)
-    and target A(target), the chart's solutions are the standard ones
-    multiplied by s, re-sorted."""
-    prefix, forms = _chart(subst)
+    """The report of ``check_nekrasov`` in the chart ``subst``: each order
+    of the standard solve ``orders`` is moved to the chart (``move_order``,
+    with its single parent) and rendered."""
+    prefix = subst_key(subst)
+    if prefix:
+        forms = substitution_forms(subst)
+        orders = [move_order(o, forms, _chart_pairs(o, prefix), [0])[0] for o in orders]
     reports = []
     witness = {}
     total_solutions = 1
     ok = True
     for o in orders:
-        s = [chart_sign(r, forms) for r in o.roots]
-        sols = sorted(tuple(e * t for e, t in zip(eps, s)) for eps in o.solutions[0])
+        sols = o.solutions[0]
         wit = {}
         residual = None
         if sols:
-            wit = _order_signs(o, sols[0], prefix)
+            wit = _order_signs(o, sols[0])
             witness.update(wit)
         else:
             ok = False
-            residual = _residual(o, 0, s, forms)
+            residual = _residual(o, 0)
         total_solutions *= len(sols)
         reports.append(
             OrderReport(o.order, len(o.keys), len(o.free), len(sols), wit, residual)
@@ -562,13 +574,15 @@ def check_nekrasov(order, cache=None):
 
 @dataclass
 class DtptSolve:
-    """The standard-coordinate solve behind ``check_dtpt``: the branch tree
-    of sign solutions, one OrderSolve per q-order reached."""
+    """The solve behind ``check_dtpt``: the branch tree of sign solutions,
+    one OrderSolve per q-order reached, in the chart whose sign-key prefix
+    is ``prefix`` ("" in standard coordinates)."""
 
     legs: tuple
     trunc: int
     lowest: int
     orders: list
+    prefix: str = ""
 
 
 def _rat_key(r):
@@ -721,113 +735,79 @@ def orbit_representative(legs):
     return rep, inverse_permutation(images[rep])
 
 
-def transport_dtpt(solve, p, legs):
-    """The solve of legs = permute_legs(solve.legs, p), transported from
-    ``solve``.
+def _move_orders(orders, forms, pairs):
+    """The orders of a branch tree moved by ``move_order``, with each
+    order's (new key, old key) pairs from ``pairs``: the parents of each
+    order are the children of the one before."""
+    parents, out = [0], []
+    for o, order_pairs in zip(orders, pairs):
+        o, parents = move_order(o, forms, order_pairs, parents)
+        out.append(o)
+    return out
 
-    p is the chart A whose column i is e_p[i].  The fixed point pi of
-    solve.legs goes to p(pi) with root relabel_root(r_pi, A) = s_pi A(r_pi)
-    and every right-hand side to A(rhs), so each parent's solutions are its
-    old ones with the sign of p(pi) equal to eps_pi * s_pi, re-sorted.
-    Each order lists the keys and terms of ``legs`` in their own
-    enumeration order, and the branches are replayed as ``dtpt_report``
-    replays them."""
+
+def transport_dtpt(solve, p, legs):
+    """The solve of legs = permute_legs(solve.legs, p), moved from
+    ``solve``: p is the chart whose column i is e_p[i], and each fixed
+    point of ``legs`` is paired with its preimage, in the enumeration order
+    of ``legs``."""
     if p == IDENTITY_PERMUTATION:
         return solve
     forms = substitution_forms([AXIS_WEIGHTS[j] for j in p])
     inv = inverse_permutation(p)
     rep_legs, rep_module = solve.legs, LegModule(solve.legs)
     # per order: (key, key of the preimage) of every fixed point of legs
-    pairs = {n: [] for n in range(solve.trunc)}
+    pairs = [[] for _ in range(solve.trunc)]
     for sp in enumerate_dt(*legs, solve.trunc - 1):
         pre = SolidPartition(rep_legs, [permute_point(b, inv) for b in sp.added])
         pairs[sp.n_added()].append((sp.key(), pre.key()))
     for config in enumerate_boxconfigs(LegModule(legs), solve.trunc - 1):
         pre = BoxConfig(rep_module, [permute_point(w, inv) for w in config.boxes])
         pairs[config.weighted_length()].append((config.key(), pre.key()))
-
-    # the old index of each parent branch, in the new order
-    parents = [0]
-    orders = []
-    for n, o in enumerate(solve.orders):
-        index = {k: i for i, k in enumerate(o.keys)}
-        keys, old, free = [], [], []
-        for key, pre in pairs[n]:
-            if pre in index:
-                keys.append(key)
-                old.append(index[pre])
-            else:
-                free.append(key)
-        s = [chart_sign(o.roots[i], forms) for i in old]
-        starts = list(itertools.accumulate(map(len, o.solutions), initial=0))
-        solutions, children = [], []
-        for j in parents:
-            moved = sorted(
-                (tuple(eps[i] * t for i, t in zip(old, s)), starts[j] + c)
-                for c, eps in enumerate(o.solutions[j])
-            )
-            solutions.append([eps for eps, _ in moved])
-            children += [child for _, child in moved]
-        rhs = None
-        if o.rhs is not None:
-            rhs = [o.rhs[j].substitute(forms) for j in parents]
-        roots = [relabel_root(o.roots[i], forms) for i in old]
-        orders.append(OrderSolve(o.order, keys, roots, o.n_dt, free, solutions, rhs))
-        parents = children
+    orders = _move_orders(solve.orders, forms, pairs)
     return DtptSolve(legs, solve.trunc, solve.lowest, orders)
 
 
 def dtpt_report(solve, subst=None):
-    """The report of ``check_dtpt`` in the chart ``subst``, transported from
-    a standard solve.
-
-    In the chart, each term is s_pi A(a_pi) and each right-hand side A(rhs),
-    so a branch's solutions are its standard solutions multiplied by s.
-    The branch bookkeeping of the direct solve is replayed: each parent's
-    transported solutions are re-sorted, and each child keeps the index of
-    its standard branch, whose solutions it extends at the next order."""
-    prefix, forms = _chart(subst)
-    # chart-ordered branches: (signs, index of the standard branch)
-    branches = [({}, 0)]
+    """The report of ``check_dtpt`` in the chart ``subst``: the solve is
+    moved to the chart and rendered, each branch's children extending its
+    signs in order."""
+    prefix = subst_key(subst)
+    if prefix:
+        pairs = [_chart_pairs(o, prefix) for o in solve.orders]
+        orders = _move_orders(solve.orders, substitution_forms(subst), pairs)
+        solve = DtptSolve(solve.legs, solve.trunc, solve.lowest, orders, prefix)
+    # the signs of each branch, in order
+    branches = [{}]
     orders = []
     for o in solve.orders:
-        s = [chart_sign(r, forms) for r in o.roots]
-        starts = list(itertools.accumulate(map(len, o.solutions), initial=0))
-        children = []
-        witness = {}
-        for signs, j in branches:
-            moved = sorted(
-                (tuple(e * t for e, t in zip(eps, s)), starts[j] + i)
-                for i, eps in enumerate(o.solutions[j])
-            )
-            for eps, child in moved:
-                own = _order_signs(o, eps, prefix)
-                if not witness:
-                    witness = own
-                children.append(({**signs, **own}, child))
-        residual = None if children else _residual(o, branches[0][1], s, forms)
+        own = [
+            (signs, _order_signs(o, eps))
+            for signs, sols in zip(branches, o.solutions)
+            for eps in sols
+        ]
+        witness = own[0][1] if own else {}
+        residual = None if own else _residual(o, 0)
         orders.append(
-            OrderReport(
-                o.order, len(o.keys), len(o.free), len(children), witness, residual
-            )
+            OrderReport(o.order, len(o.keys), len(o.free), len(own), witness, residual)
         )
-        branches = children
+        branches = [{**signs, **mine} for signs, mine in own]
 
-    solution_sets = {frozenset(signs.items()) for signs, _ in branches}
+    solution_sets = {frozenset(signs.items()) for signs in branches}
     closed = bool(solution_sets) and all(
         frozenset((k, -v) for k, v in signs.items()) in solution_sets
-        for signs, _ in branches
+        for signs in branches
     )
     witness_signs = None
     if branches:
-        witness_signs = SignAssignment(dict(sorted(branches[0][0].items())))
+        witness_signs = SignAssignment(dict(sorted(branches[0].items())))
     return SignSolveReport(
         target="dtpt",
         params={
             "legs": ",".join(pp.render() for pp in solve.legs),
             "order": solve.trunc,
             "lowest": solve.lowest,
-            "subst": prefix or "standard",
+            "subst": solve.prefix or "standard",
         },
         orders=orders,
         n_global_solutions=len(branches),

@@ -17,8 +17,11 @@ The chart-level sign checks of the global identity are decided the same
 way: as a function of the standard values, the relabelled root is s A(r)
 with s = +-1, so each chart's Nekrasov and DT/PT identities are A of
 standard ones.  ``chart_sign_reports`` solves Nekrasov once and each S4
-orbit of leg tuples once, in standard coordinates, and transports the
-solutions to every leg tuple and chart (see ``signsearch``).
+orbit of leg tuples once, in standard coordinates.  It moves each leg
+tuple's solve from its orbit's representative once, and every solve to
+each chart that needs it, by the one move of ``signsearch``
+(``move_order``); composing the permutation with each chart instead would
+enumerate the leg tuple's fixed points again for every chart.
 """
 
 from __future__ import annotations
@@ -780,11 +783,11 @@ def chart_sign_reports(g, beta, trunc, cache=None):
     for each nonempty leg tuple the chart needs.  A chart whose Nekrasov
     check fails ends the sequence.
 
-    Every report is transported from a solve in standard coordinates (see
+    Every report is moved from a solve in standard coordinates (see
     ``signsearch``).  Nekrasov is solved once, and each S4 orbit of leg
-    tuples once, at its representative; each leg tuple's solve is
-    transported from that one.  The solves are shared within this call,
-    with a cache too."""
+    tuples once, at its representative; each leg tuple's solve is moved
+    from that one once, then to each chart.  The solves are shared within
+    this call, with a cache too."""
     empty = (EMPTY_PP,) * 4
     needs = _required_leg_tuples(g, beta)
     nek_solve = solve_nekrasov(trunc - 1, cache)

@@ -310,16 +310,17 @@ def substitution_forms(subst):
 
 
 def relabel_root(root, forms):
-    """The canonical root of V.subst(cols) from the canonical root of V,
-    for forms = substitution_forms(cols).
+    """(s, R): the canonical root R of V.subst(cols) from the canonical
+    root of V, for forms = substitution_forms(cols), and the sign s = +-1
+    with R = s * A(root), where A is the substitution l_i -> forms[i].
 
     A maps the pair of forms (f, -f) to (A f, -A f), and both carry the
     same total coefficient, since V is square-symmetric.  So the canonical
     root in chart coordinates replaces each factor p^e by the positive-lead
     representative of A p, to the same power, with its content moved into
-    the scalar; no sign arises and the parity stays."""
+    the scalar; the parity stays, and s is the sign this drops."""
     value = root.value.substitute(forms)
-    return SqrtEuler(
+    return value.sign, SqrtEuler(
         FactoredWeightProduct(1, value.scalar, value.factors), root.parity
     )
 
@@ -397,7 +398,7 @@ def _root_cached(base_key, subst, make_v, cache):
             record = {"key": base_key, "V": v.to_json(), "root": root.to_json()}
             cache.put(base_key, record)
     if forms is not None:
-        root = relabel_root(root, forms)
+        _, root = relabel_root(root, forms)
     return prefix + base_key, root
 
 

@@ -132,6 +132,33 @@ class TestVertexCommand:
         assert rc == 2
         assert out == f"error: {message}\n"
 
+    def test_signs_file_without_a_needed_sign_is_usage_error(self, tmp_path):
+        path = tmp_path / "signs.json"
+        path.write_text('{"signs": {}}')
+        rc, out = run(
+            ["vertex", "--flavor", "dt", "--legs", "[[1]],[],[],[]", "--order", "2",
+             "--sign-policy", "file", "--signs-file", str(path), "--no-cache"]
+        )
+        assert rc == 2
+        assert out == "error: signs file has no sign for 'dt:[[1]],[],[],[];add:'\n"
+
+    @pytest.mark.parametrize("order", ["3", "6"])
+    def test_empty_pt_vertex_solves_nothing(self, monkeypatch, order):
+        # the empty PT vertex is 1 and reads no sign, so Nekrasov's formula
+        # (beyond the solver bound at order 6) is not solved for it
+        import dt4vertex.cli as cli
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("solved signs the empty PT vertex never reads")
+
+        monkeypatch.setattr(cli, "check_nekrasov", untouched)
+        rc, out = run(
+            ["vertex", "--flavor", "pt", "--legs", "[],[],[],[]", "--order", order,
+             "--sign-policy", "solve", "--no-cache"]
+        )
+        assert rc == 0
+        assert f"series: (1) + O(q^{order})" in out
+        assert "signs witness" not in out
 
     @pytest.mark.parametrize("order", ["0", "-1"])
     @pytest.mark.parametrize("policy", ["canonical", "solve", "file"])
@@ -307,6 +334,27 @@ class TestCacheCommand:
         _, cold = run(args)
         _, warm = run(args)
         assert cold == warm
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "dtpt", "--legs", "[],[[1]],[],[]", "--order", "3"],
+            ["check", "global", "--geometry", "localp2", "--beta", "1", "--order", "3"],
+        ],
+        ids=["dtpt", "global"],
+    )
+    def test_cached_solves_print_the_uncached_report(self, tmp_path, argv):
+        # a cold run fills the cache, a warm one reads it and adds nothing;
+        # both print the bytes of the run without a cache
+        rc, plain = run(argv)
+        assert rc == 0
+        cached = argv + ["--use-cache", "--cache-dir", str(tmp_path)]
+        path = tmp_path / "vertices.jsonl"
+        assert run(cached) == (0, plain)
+        cold = path.read_bytes()
+        assert cold.count(b"\n") > 1  # a header and records
+        assert run(cached) == (0, plain)
+        assert path.read_bytes() == cold
 
     def test_vertex_leaves_cache_alone_by_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DT4VERTEX_CACHE_DIR", raising=False)

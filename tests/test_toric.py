@@ -274,7 +274,7 @@ class TestSubstitutionCoherence:
         for v in vertices:
             root = euler_sqrt(v)
             for cols in substs:
-                got = relabel_root(root, substitution_forms(cols))
+                _, got = relabel_root(root, substitution_forms(cols))
                 want = euler_sqrt(v.subst(cols))
                 assert got.value == want.value and got.parity == want.parity
                 compared += 1
@@ -360,6 +360,34 @@ class TestInsertions:
         gamma = InsertionClass.point_class(g, 0)
         val = insertion_value((gamma,), fp)
         assert not val.is_zero()
+
+    @pytest.mark.parametrize(
+        "name, beta",
+        [("localp2", (1,)), ("localcurve", (1,)), ("localp1p1", (1, 0))],
+        ids=["localp2", "localcurve", "localp1p1"],
+    )
+    def test_point_class_series(self, name, beta):
+        # with a point-class insertion, the factorized series equals the
+        # sum over fixed points for both flavors and differs from the series
+        # without it, and the global identity holds with it
+        g = load_geometry(name)
+        gammas = (InsertionClass.point_class(g, 0),)
+        for flavor in ("dt", "pt"):
+            a = global_series(g, beta, flavor, gammas, 3)
+            assert a == global_series_by_fixed_points(g, beta, flavor, gammas, 3)
+            assert a != global_series(g, beta, flavor, (), 3)
+        rep = check_affine_implies_toric(g, beta, 3, gammas)
+        assert rep["ok"] and rep["insertions"] == 1
+
+    def test_point_class_on_local_p2(self):
+        g = preset_local_p2()
+        plain = global_series(g, (1,), "pt", (), 3)
+        inserted = global_series(g, (1,), "pt", (InsertionClass.point_class(g, 0),), 3)
+        assert plain.coefficient(1).render() == "(2*l2 + 2*l3) / (l1*l2 - l2^2)"
+        assert inserted.coefficient(1).render() == (
+            "(l1^2*l3 + 2*l1*l2*l3 + 3*l1*l3^2 + l2^2*l3 + 3*l2*l3^2 + 2*l3^3)"
+            " / (l1 - l2)"
+        )
 
 
 class TestGlobalSeries:

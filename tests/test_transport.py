@@ -9,18 +9,20 @@ to an oracle that sums relabelled roots exactly, and to s itself.
 """
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from dt4vertex import signsearch
-from dt4vertex.exactalg import FactoredWeightProduct, qexp
-from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_dt
+from dt4vertex.cli import main
+from dt4vertex.exactalg import FactoredWeightProduct, lambdarat_sum, qexp
+from dt4vertex.partitions import EMPTY_PP, PlanePartition, SolidPartition, enumerate_dt
 from dt4vertex.ptconfig import BoxConfig, LegModule, enumerate_boxconfigs
 from dt4vertex.signsearch import (
-    chart_sign,
     dtpt_report,
+    inverse_permutation,
     nekrasov_rational_subst,
     orbit_representative,
     permute_point,
@@ -129,8 +131,8 @@ def test_witnesses_satisfy_chart_identities(preset, reports):
 
 @pytest.mark.parametrize("preset", PRESETS, ids=IDS)
 def test_chart_sign_is_the_sign_relabelling_drops(preset):
-    # (c) relabel_root(r, forms).value = s * r.value.substitute(forms), with
-    # standard roots of sign +1
+    # (c) relabel_root(r, forms) = (s, R) with R.value = s *
+    # r.value.substitute(forms), and standard roots of sign +1
     name, beta, trunc = preset
     g = load_geometry(name)
     needs = _required_leg_tuples(g, beta)
@@ -146,10 +148,8 @@ def test_chart_sign_is_the_sign_relabelling_drops(preset):
         forms = substitution_forms(cols)
         for r in roots:
             assert r.value.sign == 1
-            s = chart_sign(r, forms)
-            assert relabel_root(r, forms).value == (
-                FactoredWeightProduct(s) * r.value.substitute(forms)
-            )
+            s, root = relabel_root(r, forms)
+            assert root.value == FactoredWeightProduct(s) * r.value.substitute(forms)
             flips += s == -1
     if name == "localp2":
         assert flips  # the re-sort of transported solutions is exercised
@@ -197,3 +197,71 @@ def test_planted_failure_transports_exactly(case, monkeypatch):
     assert sha(bad.residual) == case["residual_sha256"]
     assert sha(rep.render_json()) == case["json_sha256"]
     assert sha(rep.to_text()) == case["text_sha256"]
+
+
+def test_planted_nekrasov_failure_moves_exactly(monkeypatch):
+    # one order-2 root scaled by 2: order 2 has no solution and the command
+    # reports it with its residual.  In a chart, the residual is that of a
+    # direct chart solve, the sum of the chart's roots s_i A(a_i) less
+    # A(target): A of the standard terms with the signs s that relabelling
+    # drops, which are not all +1 here
+    e = EMPTY_PP
+    points = [sp for sp in enumerate_dt(e, e, e, e, 2) if sp.n_added() == 2]
+    real = signsearch.dt_vertex_root
+
+    def planted(sp, subst=None, cache=None):
+        key, root = real(sp, subst, cache)
+        if sp.key() == points[0].key():
+            root = SqrtEuler(FactoredWeightProduct(1, 2) * root.value, root.parity)
+        return key, root
+
+    monkeypatch.setattr(signsearch, "dt_vertex_root", planted)
+    orders = signsearch.solve_nekrasov(3)
+    target = qexp(signsearch.nekrasov_rational(), 4).coefficient(2)
+    standard = lambdarat_sum([r.expand() for r in orders[2].roots]) - target
+    out = io.StringIO()
+    assert main(["check", "nekrasov", "--order", "3"], out=out) == 1
+    assert out.getvalue().splitlines()[-2:] == [
+        "counterexample order: 2 (no consistent signs)",
+        f"residual (canonical signs): {standard.render()}",
+    ]
+
+    cols = preset_local_p2().charts[1]
+    forms = substitution_forms(cols)
+    rep = signsearch.nekrasov_report(orders, cols)
+    assert not rep.ok
+    assert [o.n_solutions for o in rep.orders] == [1, 1, 0, 1]
+    direct = lambdarat_sum([planted(sp, cols)[1].expand() for sp in points])
+    direct = direct - qexp(nekrasov_rational_subst(forms), 4).coefficient(2)
+    signs = [relabel_root(r, forms)[0] for r in orders[2].roots]
+    assert -1 in signs
+    signed = lambdarat_sum([r.expand().scale(s) for r, s in zip(orders[2].roots, signs)])
+    assert rep.orders[2].residual == direct.render()
+    assert rep.orders[2].residual == (signed - target).substitute(forms).render()
+
+
+def test_planted_zero_root_moves_to_free(monkeypatch):
+    # a zero root at a fixed point of a leg set that is not its orbit's
+    # representative, and at its preimage: the moved solve lists the fixed
+    # point as free, as the direct solve does, field by field
+    legs = (EMPTY_PP, PlanePartition([[1]]), EMPTY_PP, EMPTY_PP)
+    rep_legs, p = orbit_representative(legs)
+    assert rep_legs != legs
+    inv = inverse_permutation(p)
+    sp = next(sp for sp in enumerate_dt(*legs, 3) if sp.n_added() == 3)
+    pre = SolidPartition(rep_legs, [permute_point(b, inv) for b in sp.added])
+    zeroed = {sp.key(), pre.key()}
+    real = signsearch.dt_vertex_root
+
+    def planted(sp, subst=None, cache=None):
+        key, root = real(sp, subst, cache)
+        return key, SqrtEuler.zero() if sp.key() in zeroed else root
+
+    monkeypatch.setattr(signsearch, "dt_vertex_root", planted)
+    got = solve_dtpt(legs, 4)
+    want = signsearch.solve_dtpt_direct(legs, 4)
+    assert [o.free for o in got.orders][3] == [sp.key()]
+    assert len(got.orders) == len(want.orders)
+    for a, b in zip(got.orders, want.orders):
+        for name in ("order", "keys", "roots", "n_dt", "free", "solutions", "rhs"):
+            assert getattr(a, name) == getattr(b, name), (a.order, name)
