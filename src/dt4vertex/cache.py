@@ -2,22 +2,22 @@
 
 One JSON record per fixed point, in standard coordinates, keyed by the
 canonical fixed-point key (legs and added boxes, box configuration, or edge
-and normal degrees): the TLaurent rendering of V and the factored rendering
-of its Euler root, behind a versioned header.  A chart's root is relabelled
-from that record, so the key holds no substitution.  The file lives at
-<dir>/vertices.jsonl; DT4VERTEX_CACHE_DIR overrides the default directory.
+and normal degrees): the factored rendering of its Euler root and the
+CRC-32 of key and root, behind a versioned header.  A chart's root is
+relabelled from that record, so the key holds no substitution.  The file
+lives at <dir>/vertices.jsonl; DT4VERTEX_CACHE_DIR overrides the default
+directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 
 FORMAT = "dt4vertex-cache"
-VERSION = 1
+VERSION = 2
 FILENAME = "vertices.jsonl"
-# keys of the records an older layout wrote per chart; nothing looks them up
-CHART_PREFIX = "@["
 
 
 def default_cache_dir():
@@ -28,14 +28,34 @@ def default_cache_dir():
     return os.path.join(base, "dt4vertex")
 
 
+def cache_path(directory=None):
+    return os.path.join(directory if directory is not None else default_cache_dir(), FILENAME)
+
+
+def clear(directory=None):
+    """Delete the cache file without reading it, so that a damaged file or
+    one of another format can be removed too."""
+    try:
+        os.remove(cache_path(directory))
+    except FileNotFoundError:
+        pass
+
+
+def _checksum(key, root):
+    """The CRC-32 a record stores of its key and root.  It detects damage,
+    as an unkeyed SHA-256 would, without loading OpenSSL through hashlib,
+    which costs a process about 3.5 MB of resident memory."""
+    return zlib.crc32(json.dumps({"key": key, "root": root}, sort_keys=True).encode())
+
+
 class VertexCache:
     """In-memory vertex store persisted as JSONL, one append per new record.
 
     An append that was cut short leaves a last line without its newline.
-    Loading skips that line, and the next append cuts it away first; any
-    other malformed line raises.  Loading also skips the records of chart
-    roots (keys behind a chart prefix) that an older layout wrote, since
-    chart roots are now relabelled from standard ones.
+    Loading skips that line, and the next append cuts it away first.  Any
+    other malformed line, a record whose CRC-32 does not match its key and
+    root, and a header of another format or version raise ValueError, which
+    names the file.
     """
 
     def __init__(self, directory=None):
@@ -48,7 +68,7 @@ class VertexCache:
 
     @property
     def path(self):
-        return os.path.join(self.directory, FILENAME)
+        return cache_path(self.directory)
 
     def _load(self):
         if not os.path.exists(self.path):
@@ -58,21 +78,39 @@ class VertexCache:
             if not header.endswith(b"\n"):  # an empty file or a torn header
                 self._torn_at = 0
                 return
-            meta = json.loads(header)
-            if meta.get("format") != FORMAT or meta.get("version") != VERSION:
+            try:
+                meta = json.loads(header)
+            except ValueError:
+                meta = None
+            if not isinstance(meta, dict) or meta.get("format") != FORMAT:
                 raise ValueError(f"unrecognized cache file {self.path}")
-            for line in fh:
+            if meta.get("version") != VERSION:
+                raise ValueError(
+                    f"cache file {self.path} has format version {meta.get('version')!r}, "
+                    f"not {VERSION}; `dt4vertex cache clear` removes it"
+                )
+            for n, line in enumerate(fh, 2):
                 if not line.endswith(b"\n"):
                     self._torn_at = fh.tell() - len(line)
                     break
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    if not rec["key"].startswith(CHART_PREFIX):
-                        self._data[rec["key"]] = rec
+                if line.strip():
+                    key, root = self._record(line, n)
+                    self._data[key] = {"key": key, "root": root}
+
+    def _record(self, line, n):
+        """(key, root) of the record on line n, checked against its CRC-32."""
+        try:
+            rec = json.loads(line)
+            key, root, crc = rec["key"], rec["root"], rec["crc32"]
+        except (ValueError, TypeError, KeyError):
+            raise ValueError(f"malformed record on line {n} of cache file {self.path}") from None
+        if crc != _checksum(key, root):
+            raise ValueError(f"damaged record {key!r} in cache file {self.path}: CRC-32 mismatch")
+        return key, root
 
     def _append(self, record):
         os.makedirs(self.directory, exist_ok=True)
+        record = dict(record, crc32=_checksum(record["key"], record["root"]))
         with open(self.path, "ab") as fh:
             if self._torn_at is not None:
                 fh.truncate(self._torn_at)
@@ -90,6 +128,7 @@ class VertexCache:
         return rec
 
     def put(self, key, record):
+        """Store ``record``, a dict of the ``key`` and its ``root``."""
         if key in self._data:
             return
         self._data[key] = record
@@ -103,11 +142,3 @@ class VertexCache:
 
     def stats(self):
         return {"directory": self.directory, "entries": len(self._data)}
-
-    def clear(self):
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-        self._torn_at = None
-        if os.path.exists(self.path):
-            os.remove(self.path)

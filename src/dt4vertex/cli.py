@@ -18,11 +18,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cache import VertexCache
+from .cache import VertexCache, clear as clear_cache
 from .partitions import PlanePartition, SolidPartition
 from .ptconfig import TooManyLegs
 from .signsearch import MissingSign, SignAssignment, check_dtpt, check_nekrasov
 from .toric import (
+    PRESETS,
     GeometryError,
     NoConsistentSigns,
     check_affine_implies_toric,
@@ -164,6 +165,20 @@ def _emit_report(report, cfg, out):
     return 1
 
 
+def _geometry_text(value):
+    """A --geometry value whose name is a preset, as it is; any other value
+    names a file in the ``ToricGeometry.render()`` grammar, read here."""
+    if "\n" in value or value.strip().partition(":")[0] in PRESETS:
+        return value
+    try:
+        with open(value, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise GeometryError(
+            f"geometry {value!r} is neither a preset nor a readable file: {exc.strerror}"
+        ) from None
+
+
 def cmd_check(cfg, out):
     cache = VertexCache(cfg.cache_dir or None) if cfg.use_cache else None
     if cfg.command == "nekrasov":
@@ -189,7 +204,7 @@ def cmd_check(cfg, out):
             out.write(f"  corollary series match: {rep['corollary_match']}\n")
         return 0 if rep["ok"] else 1
     if cfg.command == "global":
-        g = load_geometry(cfg.geometry)
+        g = load_geometry(_geometry_text(cfg.geometry))
         rep = check_affine_implies_toric(g, cfg.beta, cfg.order, cache=cache)
         if cfg.as_json:
             out.write(json.dumps(rep, indent=2, sort_keys=True) + "\n")
@@ -210,6 +225,10 @@ def cmd_check(cfg, out):
 
 
 def cmd_cache(action, cfg, out):
+    if action == "clear":
+        clear_cache(cfg.cache_dir or None)
+        out.write("cache cleared\n")
+        return 0
     cache = VertexCache(cfg.cache_dir or None)
     if action == "list":
         for key in cache.keys():
@@ -222,10 +241,6 @@ def cmd_cache(action, cfg, out):
         else:
             for k in ("directory", "entries"):
                 out.write(f"{k}: {stats[k]}\n")
-        return 0
-    if action == "clear":
-        cache.clear()
-        out.write("cache cleared\n")
         return 0
     raise ValueError(f"unknown cache action {action!r}")
 

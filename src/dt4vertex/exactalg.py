@@ -14,9 +14,10 @@ Three layers, all exact (no floating point anywhere):
   prod p^e), so equal values are equal fields and render to equal text;
   it divides by units and, through ``FactoredWeightProduct``, by any
   product of linear forms.  Numerators are dicts between operations; a sum
-  runs on packed integers (Kronecker substitution) from the lift of its
-  numerators to the common denominator, through the exact trial divisions
-  by the forms that may cancel, to its quotient.
+  runs on packed integers (Kronecker substitution), one int per power of l2
+  in each homogeneous component, from the lift of its numerators to the
+  common denominator, through the exact trial divisions by the forms that
+  may cancel, to its quotient.
 * ``QSeries`` -- truncated Laurent series in q with LambdaRat coefficients.
 
 Values do not change after construction, except that a LambdaRat multiplies
@@ -312,13 +313,6 @@ class TLaurent:
     def __repr__(self):
         return f"TLaurent({self.render()})"
 
-    def to_json(self):
-        return [[list(w), c] for w, c in self.sorted_items()]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({tuple(w): c for w, c in data})
-
 
 def bar_involution(p):
     """t^w -> t^{-w}, termwise."""
@@ -411,79 +405,27 @@ def poly_div_exact_int(p, k):
 
 def poly_lift_add(n1, forms1, n2, forms2):
     """n1 * prod(forms1) + n2 * prod(forms2) for integer polynomials n1, n2
-    and lists of linear forms, by Kronecker substitution (``_lift``)."""
-    total, stride, size = _lift(((n1, 1, forms1), (n2, 1, forms2)))
-    return _unchunk({t: _split(x, t, stride, size) for t, x in total.items() if x}, size)
-
-
-def _lift(addends):
-    """The sum of k * n * prod(forms) over the triples (n, k, forms) of
-    ``addends``, as (total, stride, size): total maps each degree t to the
-    packed int of the homogeneous component of degree t.
-
-    That int holds the coefficient of l1^a l2^b l3^(t-a-b) as a signed digit
-    in slot a + b*stride of w = 8*size bits, that is, it is the value of the
-    component at l1 = 2^w, l2 = 2^(w*stride), l3 = 1.  Multiplying by
-    c1*l1 + c2*l2 + c3*l3 is then c1*(x << w) + c2*(x << w*stride) + c3*x
-    and raises the degree by one.  The stride exceeds every lifted degree,
-    and 2^(w-1) exceeds the sum of |k| * ||n||_1 * prod ||f||_1, which bounds
-    every coefficient of the sum, so its slots decode exactly."""
-    addends = [a for a in addends if a[0]]
-    bound = top = 0
-    for n, k, forms in addends:
-        b = sum(map(abs, n.values())) * abs(k)
-        for f in forms:
-            b *= abs(f[0]) + abs(f[1]) + abs(f[2])
-        bound += b
-        top = max(top, max(map(sum, n)) + len(forms))
-    size = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
-    w = 8 * size
-    stride = top + 1
-    ws = w * stride
-    total = {}
-    for n, k, forms in addends:
-        for t, x in _pack(n, stride, size).items():
-            if k != 1:
-                x *= k
-            for c1, c2, c3 in forms:
-                y = c3 * x if c3 else 0
-                if c1:
-                    y += c1 * (x << w)
-                if c2:
-                    y += c2 * (x << ws)
-                x = y
-            t += len(forms)
-            total[t] = total.get(t, 0) + x
-    return total, stride, size
-
-
-def _pack(p, stride, size):
-    """The homogeneous components of p as packed ints, keyed by degree:
-    slot a + b*stride of ``size`` bytes holds the coefficient of
-    l1^a l2^b l3^(t-a-b)."""
-    slots = {}
-    for (a, b, c), k in p.items():
-        slots.setdefault(a + b + c, []).append((a + b * stride, k))
-    out = {}
-    for t, items in slots.items():
-        pos = bytearray((t * stride + 1) * size)
-        neg = bytearray(len(pos))
-        for i, k in items:
-            buf = pos if k > 0 else neg
-            buf[i * size:(i + 1) * size] = abs(k).to_bytes(size, "little")
-        out[t] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-    return out
+    and lists of linear forms, on packed chunks (``_lift``)."""
+    return _unchunk(*_lift(((n1, 1, forms1), (n2, 1, forms2))))
 
 
 # ---------------------------------------------------------------------------
-# chunked numerators: the trial divisions of a sum, on ints
+# packed numerators: the lifts and trial divisions of a sum, on ints
 #
-# A numerator is held here as (comps, size): comps maps the degree t of each
+# A numerator is packed as (comps, size): comps maps the degree t of each
 # nonzero homogeneous component to its chunks [n_0, ..., n_t].  With l3 set
 # to 1, the component is sum_b l2^b N_b(l1), and chunk n_b = N_b(2^w), w =
 # 8*size: slot a of n_b holds the coefficient of l1^a l2^b l3^(t-a-b) as a
-# signed digit, for a = 0..t-b.  Every digit lies strictly between -2^(w-1)
-# and 2^(w-1), so the t-b+1 slots of a chunk decode exactly.
+# signed digit, for a = 0..t-b.  ``_pack`` encodes, ``_unchunk`` decodes.
+# Every digit lies strictly between -2^(w-1) and 2^(w-1), so the t-b+1
+# slots of a chunk decode exactly.
+#
+# With D = c1*2^w + c3, the product by a form f = c1*l1 + c2*l2 + c3*l3 has
+# the t+2 chunks
+#
+#     n'_b = D*n_b + c2*n_(b-1)        for b = 0..t+1, n_(-1) = n_(t+1) = 0,
+#
+# the identity that ``_divide_chunks`` inverts.
 
 # the prime of the trial-division screen, below 2^30 so that reducing a
 # chunk modulo it is one pass over its digits.  2 generates its
@@ -495,50 +437,66 @@ SCREEN_PRIME = (1 << 30) - 35
 _WIDER = object()
 
 
-def _repeat(h, size, n):
-    """h in each of the lowest n slots of ``size`` bytes."""
-    return int.from_bytes(h.to_bytes(size, "little") * n, "little")
-
-
-def _split(x, t, stride, size):
-    """The chunks of the degree-t component packed in x (``_lift``): chunk
-    n_b is slots b*stride .. b*stride + t-b of x.  Adding 2^(w-1) to each
-    of those slots makes every digit in them non-negative, so a chunk reads
-    off the bytes and has the offset taken off again; the other slots are
-    not offset and never read."""
+def _lift(addends):
+    """The sum of k * n * prod(forms) over the triples (n, k, forms) of
+    ``addends``, packed as (comps, size) with its zero components dropped.
+    Each form multiplies the chunks of each component of k * n in turn.
+    2^(w-1) exceeds the sum of |k| * ||n||_1 * prod ||f||_1, which bounds
+    every digit of every product and of the sum, so its slots decode
+    exactly."""
+    addends = [a for a in addends if a[0]]
+    bound = 0
+    for n, k, forms in addends:
+        b = sum(map(abs, n.values())) * abs(k)
+        for f in forms:
+            b *= abs(f[0]) + abs(f[1]) + abs(f[2])
+        bound += b
+    size = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
     w = 8 * size
-    one, zero = (1 << (w - 1)).to_bytes(size, "little"), bytes(size)
-    offset = int.from_bytes(
-        b"".join(one * (t - b + 1) + zero * (stride - t + b - 1) for b in range(t + 1)),
-        "little",
-    )
-    data = memoryview((x + offset).to_bytes((t * stride + 1) * size, "little"))
-    low = int.from_bytes(one * (t + 1), "little")
-    ws = stride * size
-    out = []
-    for b in range(t + 1):
-        out.append(int.from_bytes(data[b * ws:b * ws + (t - b + 1) * size], "little") - low)
-        low >>= w
+    total = {}
+    for n, k, forms in addends:
+        for t, ch in _pack(n, size).items():
+            if k != 1:
+                ch = [k * x for x in ch]
+            for c1, c2, c3 in forms:
+                d = (c1 << w) + c3
+                ch = [d * x + c2 * y for x, y in zip(ch + [0], [0] + ch)]
+            t += len(forms)
+            acc = total.get(t)
+            total[t] = ch if acc is None else [x + y for x, y in zip(acc, ch)]
+    return {t: ch for t, ch in total.items() if any(ch)}, size
+
+
+def _pack(p, size):
+    """The comps of the integer polynomial p packed in slots of ``size``
+    bytes: chunk n_b of degree t is the sum of k * 2^(w*a) over the terms
+    k * l1^a l2^b l3^(t-a-b) of p."""
+    w = 8 * size
+    out = {}
+    for (a, b, c), k in p.items():
+        t = a + b + c
+        ch = out.get(t)
+        if ch is None:
+            ch = out[t] = [0] * (t + 1)
+        ch[b] += k << (w * a)
     return out
 
 
 def _chunks(p):
-    """The nonzero integer polynomial p as a chunked numerator (comps, size),
-    with the narrowest byte-wide slots that hold its coefficients."""
+    """The nonzero integer polynomial p packed (``_pack``) in the narrowest
+    byte-wide slots that hold its coefficients, as (comps, size)."""
     size = (max(map(abs, p.values())).bit_length() + 8) // 8
-    stride = max(map(sum, p)) + 1
-    comps = {t: _split(x, t, stride, size) for t, x in _pack(p, stride, size).items()}
-    return comps, size
+    return _pack(p, size), size
 
 
 def _unchunk(comps, size):
-    """The chunked numerator as a polynomial: chunk n_b of t-b+1 slots plus
+    """The packed numerator as a polynomial: chunk n_b of t-b+1 slots plus
     2^(w-1) in each slot has non-negative digits, which read off its bytes."""
     w = 8 * size
     half = 1 << (w - 1)
     out = {}
     for t, ch in comps.items():
-        low = _repeat(half, size, t + 1)
+        low = int.from_bytes(half.to_bytes(size, "little") * (t + 1), "little")
         for b, n in enumerate(ch):
             slots = t - b + 1
             data = memoryview((n + low).to_bytes(slots * size, "little"))
@@ -553,25 +511,12 @@ def _unchunk(comps, size):
 
 
 def _widen(comps, size):
-    """The same chunked numerator in slots of twice the width: each slot,
-    offset by 2^(w-1) to a non-negative digit, is copied with zero bytes
-    above it, and the offset is taken off again."""
-    half = 1 << (8 * size - 1)
-    pad = bytes(size)
-    out = {}
-    for t, ch in comps.items():
-        wide = []
-        for b, n in enumerate(ch):
-            slots = t - b + 1
-            data = (n + _repeat(half, size, slots)).to_bytes(slots * size, "little")
-            data = b"".join(data[i:i + size] + pad for i in range(0, slots * size, size))
-            wide.append(int.from_bytes(data, "little") - _repeat(half, 2 * size, slots))
-        out[t] = wide
-    return out, 2 * size
+    """The same packed numerator in slots of twice the width."""
+    return _pack(_unchunk(comps, size), 2 * size), 2 * size
 
 
 def _screen_chunks(comps, size, forms):
-    """The forms of ``forms`` that can divide the chunked numerator N.
+    """The forms of ``forms`` that can divide the packed numerator N.
 
     A form f = c1*l1 + c2*l2 + c3*l3 with c2 != 0 is kept only if N vanishes
     modulo SCREEN_PRIME at the point (beta, y, 1) of its plane, beta = 2^w:
@@ -605,19 +550,17 @@ def _screen_chunks(comps, size, forms):
 
 
 def _divide_chunks(comps, size, form):
-    """The quotient of the chunked numerator N by the primitive form f =
+    """The quotient of the packed numerator N by the primitive form f =
     c1*l1 + c2*l2 + c3*l3 as chunks of the same size; None if f does not
     divide N, and _WIDER if the quotient may need wider slots.
 
     Each homogeneous component N, of degree t, is divided on its own.  If
-    N = f*Q, then Q has degree t-1 and, with D = c1*2^w + c3 and the chunks
-    q_b of Q (q_t = q_{-1} = 0), comparing the coefficients of l2^b gives
-
-        n_b = D*q_b + c2*q_{b-1}        for b = 0..t.
-
-    For c2 != 0 they are solved from the top chunk down, q_{b-1} = (n_b -
-    D*q_b) / c2, and then n_0 = D*q_0 is checked; for c2 = 0, n_t = 0 is
-    checked and each other chunk divided, q_b = n_b / D, top chunk first.
+    N = f*Q, then Q has degree t-1, and its chunks q_b (q_t = q_{-1} = 0)
+    satisfy n_b = D*q_b + c2*q_{b-1} for b = 0..t, the product identity of
+    the layout.  For c2 != 0 they are solved from the top chunk down,
+    q_{b-1} = (n_b - D*q_b) / c2, and then n_0 = D*q_0 is checked; for c2 =
+    0, n_t = 0 is checked and each other chunk divided, q_b = n_b / D, top
+    chunk first.
     A nonzero remainder or a failed check therefore proves that f does not
     divide N.
 
@@ -737,12 +680,13 @@ def render_poly(p):
 
 
 def _expand_product(c, factors):
-    """The polynomial c * prod p^e, as one Kronecker product (``_lift``)."""
-    return poly_lift_add(poly_const(c), [p for p, e in factors.items() for _ in range(e)], {}, [])
+    """The polynomial c * prod p^e, lifted on packed chunks (``_lift``)."""
+    forms = [p for p, e in factors.items() for _ in range(e)]
+    return _unchunk(*_lift(((poly_const(c), 1, forms),)))
 
 
 def _cancel_forms(comps, size, factors, forms):
-    """Divide the chunked numerator (comps, size) by each form p of
+    """Divide the packed numerator (comps, size) by each form p of
     ``forms`` while exact, at most factors[p] times, and lower factors[p] in
     place to the exponent left over, deleting it at 0.  Returns the
     quotient as (comps, size), or None if no form divides.
@@ -795,11 +739,11 @@ class LambdaRat:
     linear forms, by multiplying with ``(FactoredWeightProduct **
     -1).expand()``.
 
-    A sum lifts both numerators to the common denominator as packed
-    integers (``_lift``), splits each component into one int per power of
-    l2, and divides those ints exactly by the forms that may cancel and
-    that a screen modulo SCREEN_PRIME cannot rule out (``_cancel_forms``);
-    the constructor runs the same divisions on its numerator, packed.
+    A sum lifts both numerators to the common denominator packed, one int
+    per power of l2 in each component (``_lift``), and divides those ints
+    exactly by the forms that may cancel and that a screen modulo
+    SCREEN_PRIME cannot rule out (``_cancel_forms``); the constructor runs
+    the same divisions on its numerator, packed (``_chunks``).
     """
 
     __slots__ = ("num", "scalar", "factors", "_den")
@@ -856,10 +800,10 @@ class LambdaRat:
         the forms with equal exponents are trial-divided.
 
         The sum stays packed from the lift to the final quotient: both
-        numerators are lifted and added as packed ints (``_lift``), each
-        component is split once into chunks, one per power of l2
-        (``_split``), the shared forms are screened and divided on those
-        ints (``_cancel_forms``), and the quotient is unpacked once."""
+        numerators are lifted and added as chunks, one int per power of l2
+        in each component (``_lift``), the shared forms are screened and
+        divided on those ints (``_cancel_forms``), and the quotient is
+        unpacked once."""
         if isinstance(other, int):
             other = LambdaRat.from_int(other)
         if not self.num:
@@ -878,10 +822,7 @@ class LambdaRat:
             lf[p] = max(e1, e2)
             if e1 == e2:
                 shared.append(p)
-        total, stride, size = _lift(
-            ((self.num, s2 // g, lift1), (other.num, s1 // g, lift2))
-        )
-        comps = {t: _split(x, t, stride, size) for t, x in total.items() if x}
+        comps, size = _lift(((self.num, s2 // g, lift1), (other.num, s1 // g, lift2)))
         if not comps:
             return LambdaRat.from_int(0)
         if shared:

@@ -37,8 +37,14 @@ class PlanePartition:
 
     @classmethod
     def parse(cls, text):
-        """Parse the row-list form, e.g. "[[2,1],[1]]"."""
-        return cls(json.loads(text))
+        """Parse the row-list form, e.g. "[[2,1],[1]]": a JSON list of rows,
+        each a list of JSON integers.  Anything else raises ValueError."""
+        rows = json.loads(text)
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in rows
+        ):
+            raise ValueError(f"a leg must be a JSON list of rows of integers, not {text!r}")
+        return cls(rows)
 
     @classmethod
     def from_boxes(cls, boxes):

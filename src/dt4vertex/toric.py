@@ -309,52 +309,67 @@ PRESETS = {
 def load_geometry(config):
     """Load a geometry from a preset name ("c4", "localcurve",
     "localcurve:l1,l2,l3", "localp2", "localp1p1") or from the text file
-    grammar produced by ToricGeometry.render()."""
+    grammar produced by ToricGeometry.render().  Only localcurve takes
+    arguments, exactly three integer degrees; anything else raises
+    GeometryError."""
     text = config.strip()
     if "\n" not in text:
-        name, _, args = text.partition(":")
-        if name in PRESETS:
-            if args:
-                return PRESETS[name](*(int(x) for x in args.split(",")))
+        name, colon, args = text.partition(":")
+        if name not in PRESETS:
+            raise GeometryError(f"unknown geometry preset {text!r}")
+        if not colon:
             return PRESETS[name]()
-        raise GeometryError(f"unknown geometry preset {text!r}")
+        if name != "localcurve":
+            raise GeometryError(f"geometry preset {name!r} takes no arguments: {text!r}")
+        try:
+            degrees = [int(x) for x in args.split(",")]
+        except ValueError:
+            degrees = []
+        if len(degrees) != 3:
+            raise GeometryError(f"localcurve takes three integer degrees l1,l2,l3, not {args!r}")
+        return preset_local_curve(*degrees)
     name = "geometry"
     nclasses = None
     charts = []
     edges = []
     lines = [ln.strip() for ln in text.splitlines()]
     i = 0
-    while i < len(lines):
-        ln = lines[i]
-        i += 1
-        if not ln or ln.startswith("#"):
-            continue
-        tok = ln.split()
-        if tok[0] == "geometry":
-            name = tok[1]
-        elif tok[0] == "classes":
-            nclasses = int(tok[1])
-        elif tok[0] == "chart":
-            cols = []
-            for _ in range(4):
-                cols.append(tuple(int(x) for x in lines[i].split()))
-                i += 1
-            charts.append(tuple(cols))
-        elif tok[0] == "edge":
-            a, axis_a, b, axis_b = int(tok[1]), int(tok[2]) - 1, int(tok[3]), int(tok[4]) - 1
-            if tok[5] != "class":
-                raise GeometryError(f"bad edge line: {ln!r}")
-            cls = int(tok[6])
-            sigma = []
-            rest = tok[7:]
-            while rest:
-                if rest[0] != "map":
+    try:
+        while i < len(lines):
+            ln = lines[i]
+            i += 1
+            if not ln or ln.startswith("#"):
+                continue
+            tok = ln.split()
+            if tok[0] == "geometry":
+                name = tok[1]
+            elif tok[0] == "classes":
+                nclasses = int(tok[1])
+            elif tok[0] == "chart":
+                cols = []
+                for _ in range(4):
+                    cols.append(tuple(int(x) for x in lines[i].split()))
+                    if len(cols[-1]) != 4:
+                        raise GeometryError(f"chart row without four entries: {lines[i]!r}")
+                    i += 1
+                charts.append(tuple(cols))
+            elif tok[0] == "edge":
+                a, axis_a, b, axis_b = int(tok[1]), int(tok[2]) - 1, int(tok[3]), int(tok[4]) - 1
+                if tok[5] != "class":
                     raise GeometryError(f"bad edge line: {ln!r}")
-                sigma.append((int(rest[1]) - 1, int(rest[2]) - 1, int(rest[3])))
-                rest = rest[4:]
-            edges.append(EdgeSpec(a, axis_a, b, axis_b, tuple(sigma), cls))
-        else:
-            raise GeometryError(f"unrecognized line: {ln!r}")
+                cls = int(tok[6])
+                sigma = []
+                rest = tok[7:]
+                while rest:
+                    if rest[0] != "map":
+                        raise GeometryError(f"bad edge line: {ln!r}")
+                    sigma.append((int(rest[1]) - 1, int(rest[2]) - 1, int(rest[3])))
+                    rest = rest[4:]
+                edges.append(EdgeSpec(a, axis_a, b, axis_b, tuple(sigma), cls))
+            else:
+                raise GeometryError(f"unrecognized line: {ln!r}")
+    except (IndexError, ValueError):
+        raise GeometryError(f"malformed geometry file at {ln!r}") from None
     return ToricGeometry(name, charts, edges, nclasses)
 
 

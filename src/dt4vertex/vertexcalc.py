@@ -393,10 +393,8 @@ def _root_cached(base_key, subst, make_v, cache):
         if rec is not None:
             root = SqrtEuler.from_json(rec["root"])
         else:
-            v = make_v()
-            root = euler_sqrt(v)
-            record = {"key": base_key, "V": v.to_json(), "root": root.to_json()}
-            cache.put(base_key, record)
+            root = euler_sqrt(make_v())
+            cache.put(base_key, {"key": base_key, "root": root.to_json()})
     if forms is not None:
         _, root = relabel_root(root, forms)
     return prefix + base_key, root

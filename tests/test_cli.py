@@ -6,6 +6,7 @@ import pytest
 from dt4vertex.cache import VertexCache
 from dt4vertex.cli import main, parse_legs
 from dt4vertex.partitions import PlanePartition
+from dt4vertex.toric import preset_local_p2
 
 
 def run(argv):
@@ -27,6 +28,18 @@ class TestParseLegs:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             parse_legs("[],[]")
+
+    @pytest.mark.parametrize(
+        "leg", ["[1]", "[[1.5]]", '[["1"]]', "[[true]]", "{}"],
+        ids=["row-not-a-list", "float", "string", "boolean", "object"],
+    )
+    def test_malformed_leg_is_usage_error(self, leg):
+        # a leg is a JSON list of rows of JSON integers; "[1]" used to end
+        # in a TypeError traceback, the others were read as [[1]] or []
+        rc, out = run(["vertex", "--flavor", "dt", "--legs", f"{leg},[],[],[]",
+                       "--order", "2", "--no-cache"])
+        assert rc == 2
+        assert out == f"error: a leg must be a JSON list of rows of integers, not {leg!r}\n"
 
 
 class TestVertexCommand:
@@ -248,6 +261,34 @@ class TestCheckCommands:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "geometry",
+        ["c4:1", "localp2:3", "localcurve:0,-1,-1,5", "localcurve:0,-1", "localcurve:0,x,-2"],
+    )
+    def test_preset_with_wrong_arguments_is_usage_error(self, monkeypatch, geometry):
+        # the first three used to end in a TypeError traceback, and
+        # localcurve:0,-1 silently took l3 = -1
+        self.forbid_checks(monkeypatch)
+        rc, out = run(["check", "global", "--geometry", geometry, "--beta", "1", "--order", "2"])
+        assert rc == 2 and out.startswith("error: ") and "\n" not in out[:-1]
+
+    def test_geometry_file_prints_the_preset_report(self, tmp_path):
+        path = tmp_path / "p2.geom"
+        path.write_text(preset_local_p2().render())
+        argv = ["check", "global", "--beta", "1", "--order", "3", "--json"]
+        rc, preset = run(argv + ["--geometry", "localp2"])
+        assert rc == 0
+        assert run(argv + ["--geometry", str(path)]) == (0, preset)
+
+    def test_missing_geometry_file_is_usage_error(self, tmp_path, monkeypatch):
+        self.forbid_checks(monkeypatch)
+        missing = str(tmp_path / "none.geom")
+        rc, out = run(["check", "global", "--geometry", missing, "--beta", "1", "--order", "2"])
+        assert (rc, out) == (
+            2, f"error: geometry {missing!r} is neither a preset nor a readable file: "
+            "No such file or directory\n"
+        )
+
     @staticmethod
     def forbid_checks(monkeypatch):
         import dt4vertex.cli as cli
@@ -404,9 +445,9 @@ class TestCacheCommand:
         rc, out = run(args)
         assert rc == 2 and out.startswith("error:")
 
-    def test_chart_prefixed_records_are_skipped(self, tmp_path):
-        # an older layout cached chart roots under "@[...]" keys; nothing
-        # looks them up, so loading neither serves nor counts them
+    def test_version_1_file_is_an_error(self, tmp_path):
+        # version 1 stored V beside the root and no checksum; its records
+        # are not read, and the error names the file
         from dt4vertex.partitions import EMPTY_PP, SolidPartition
         from dt4vertex.vertexcalc import dt_vertex_root
 
@@ -416,22 +457,62 @@ class TestCacheCommand:
         key, root = dt_vertex_root(sp, None, first)
         path = cdir / "vertices.jsonl"
         header, live = path.read_bytes().splitlines()
-        stale = json.loads(live)
-        stale["key"] = "@[0,-1,0,0;1,-1,0,0;0,1,1,0;0,2,0,1]" + key
-        path.write_bytes(
-            header + b"\n" + json.dumps(stale, sort_keys=True).encode() + b"\n"
-            + live + b"\n"
-        )
+        assert json.loads(header) == {"format": "dt4vertex-cache", "version": 2}
+        assert sorted(json.loads(live)) == ["crc32", "key", "root"]
+        # a later put appends one whole line after the records already there
         cache = VertexCache(str(cdir))
-        assert cache.keys() == [key]
-        rc, out = run(["cache", "stats", "--cache-dir", str(cdir)])
-        assert rc == 0 and "entries: 1" in out
         key2, root2 = dt_vertex_root(sp, None, cache)
         assert key2 == key and root2.value == root.value and cache.hits == 1
-        # a later put appends one whole line after the records already there
         sp2 = SolidPartition((EMPTY_PP,) * 4, {(0, 0, 0, 0), (1, 0, 0, 0)})
         key3, _ = dt_vertex_root(sp2, None, cache)
         lines = path.read_bytes().split(b"\n")
-        assert lines[-1] == b"" and len(lines) == 5
-        assert json.loads(lines[3])["key"] == key3
+        assert lines[-1] == b"" and len(lines) == 4
+        assert json.loads(lines[2])["key"] == key3
         assert VertexCache(str(cdir)).keys() == sorted([key, key3])
+
+        path.write_bytes(b'{"format": "dt4vertex-cache", "version": 1}\n' + live + b"\n")
+        with pytest.raises(ValueError, match="version 1"):
+            VertexCache(str(cdir))
+        rc, out = run(["cache", "stats", "--cache-dir", str(cdir)])
+        assert rc == 2 and out.startswith("error: ") and str(path) in out
+
+    def test_damaged_record_is_an_error(self, tmp_path):
+        # a root scalar set to 7 used to print a q^1 coefficient 7 times too
+        # large, with exit 0
+        cdir = str(tmp_path / "cache")
+        args = ["vertex", "--flavor", "dt", "--legs", "[],[],[],[]", "--use-cache",
+                "--cache-dir", cdir]
+        assert run(args + ["--order", "3"])[0] == 0
+        path = tmp_path / "cache" / "vertices.jsonl"
+        header, *lines = path.read_text().splitlines()
+        key = "dt:[],[],[],[];add:(0,0,0,0)"
+        records = [json.loads(line) for line in lines]
+        [rec] = [r for r in records if r["key"] == key]
+        rec["root"]["value"]["scalar"] = [7, 1]
+        path.write_text("\n".join([header] + [json.dumps(r) for r in records]) + "\n")
+        rc, out = run(args + ["--order", "2"])
+        assert (rc, out) == (
+            2, f"error: damaged record {key!r} in cache file {path}: CRC-32 mismatch\n"
+        )
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"format": "other"}\n', "unrecognized cache file"),
+            (b'{"format": "dt4vertex-cache", "version": 2}\n{"key": "broken\n',
+             "malformed record on line 2 of cache file"),
+            (b'{"format": "dt4vertex-cache", "version": 2}\n[1, 2]\n',
+             "malformed record on line 2 of cache file"),
+        ],
+        ids=["foreign", "unterminated", "not-a-record"],
+    )
+    def test_clear_removes_a_file_it_cannot_load(self, tmp_path, content, message):
+        cdir = tmp_path / "cache"
+        cdir.mkdir()
+        path = cdir / "vertices.jsonl"
+        path.write_bytes(content)
+        rc, out = run(["cache", "list", "--cache-dir", str(cdir)])
+        assert (rc, out) == (2, f"error: {message} {path}\n")
+        assert run(["cache", "clear", "--cache-dir", str(cdir)]) == (0, "cache cleared\n")
+        assert not path.exists()
+        assert run(["cache", "stats", "--cache-dir", str(cdir)])[0] == 0

@@ -34,6 +34,7 @@ from dt4vertex.exactalg import (
     _chunks,
     _divide_chunks,
     _expand_product,
+    _lift,
     _screen_chunks,
     _unchunk,
     _widen,
@@ -306,6 +307,58 @@ class TestPolyLiftAdd:
         n1 = {(0, 0, 0): (1 << bits) - 1, (1, 0, 0): 1}
         n2 = {(0, 0, 0): 1 - (1 << bits), (0, 1, 0): 1}
         assert poly_lift_add(n1, [], n2, []) == {(1, 0, 0): 1, (0, 1, 0): 1}
+
+
+# forms with c2 = 0, l2 alone (c1 = c3 = 0) and three nonzero coefficients,
+# with negative coefficients among each kind
+LIFT_BRANCH_FORMS = [(1, 0, 0), (0, 0, 1), (3, 0, -1), (-2, 0, 5), (0, 1, 0), (0, -3, 0),
+                     (1, -1, 0), (0, 2, -1), (-1, 2, 3), (2, -1, -4)]
+
+
+def lift_reference(addends):
+    out = {}
+    for n, k, forms in addends:
+        out = poly_add(out, poly_scale(lift_chain(n, forms), k))
+    return out
+
+
+def homogeneous_part(p, t):
+    return {m: c for m, c in p.items() if sum(m) == t}
+
+
+class TestChunkLift:
+    @pytest.mark.parametrize("k", [-3, 2, 10**20])
+    def test_matches_dict_lifting(self, k):
+        rng = random.Random(113 + k % 1000)
+        for _ in range(150):
+            addends = [
+                (random_poly(rng, rng.randint(1, 8), coeff=rng.choice([1, 9, 10**30])),
+                 rng.choice([1, k]),
+                 [rng.choice(LIFT_BRANCH_FORMS) for _ in range(rng.randint(0, 5))])
+                for _ in range(rng.randint(1, 3))
+            ]
+            comps, size = _lift(addends)
+            assert _unchunk(comps, size) == lift_reference(addends)
+            assert all(any(ch) and len(ch) == t + 1 for t, ch in comps.items())
+
+    @pytest.mark.parametrize("k", [-3, 2, 10**20])
+    def test_cancelling_components_are_dropped(self, k):
+        rng = random.Random(127 + k % 1000)
+        for _ in range(60):
+            n = random_poly(rng, rng.randint(2, 8))
+            f = [rng.choice(LIFT_BRANCH_FORMS) for _ in range(rng.randint(0, 3))]
+            g = [rng.choice(LIFT_BRANCH_FORMS) for _ in range(rng.randint(0, 3))]
+            # k*(n*f)*g - k*(n*g)*f is zero in every component
+            whole = ((lift_chain(n, f), k, g), (poly_neg(lift_chain(n, g)), k, f))
+            assert _lift(whole)[0] == {}
+            # cancelling one component of n leaves the others
+            if not n:
+                continue
+            t = rng.choice(sorted({sum(m) for m in n}))
+            part = ((n, k, f), (poly_neg(homogeneous_part(n, t)), k, f))
+            comps, size = _lift(part)
+            assert t + len(f) not in comps
+            assert _unchunk(comps, size) == lift_reference(part)
 
 
 # primitive positive-lead forms whose pivot is l1, l2 or l3

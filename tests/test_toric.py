@@ -157,6 +157,19 @@ class TestGeometry:
         assert g.edges[0].degrees_a() == (-1, -1, 0)
         with pytest.raises(GeometryError):
             load_geometry("nosuchthing")
+        for text in ("c4:1", "localp2:3", "localp1p1:", "localcurve:0,-1,-1,5",
+                     "localcurve:0,-1", "localcurve:", "localcurve:0,-1,x"):
+            with pytest.raises(GeometryError):
+                load_geometry(text)
+
+    def test_malformed_file_raises(self):
+        # each of these used to raise IndexError or ValueError
+        good = preset_local_p2().render().splitlines()
+        charts = good.index("chart 0")
+        for lines in (good[:charts + 2], good[:charts + 5] + ["edge 0 1"],
+                      ["classes x"], good[:charts + 1] + ["1 0 0"] * 4):
+            with pytest.raises(GeometryError):
+                load_geometry("\n".join(lines) + "\n")
 
 
 class TestFixedPoints:
