@@ -73,6 +73,19 @@ def parse_legs(text):
     return tuple(PlanePartition.parse(p.strip() or "[]") for p in parts)
 
 
+def parse_beta(text):
+    """Read "1,0" as the components of a curve class, JSON integers
+    separated by commas; an empty or non-integer component is a ValueError
+    naming the flag."""
+    try:
+        beta = json.loads(f"[{text}]")
+    except ValueError:
+        beta = None
+    if not beta or not all(type(b) is int for b in beta):
+        raise ValueError(f"--beta {text!r}: expected comma-separated integers")
+    return tuple(beta)
+
+
 def _load_signs(cfg, legs, cache):
     if cfg.sign_policy == "canonical":
         return SignAssignment.canonical()
@@ -346,9 +359,7 @@ def _dispatch(args, out):
                 legs=parse_legs(args.legs) if args.target == "dtpt" else (),
                 order=args.order,
                 geometry=getattr(args, "geometry", ""),
-                beta=tuple(
-                    int(x) for x in getattr(args, "beta", "").split(",") if x.strip()
-                ),
+                beta=parse_beta(args.beta) if args.target == "global" else (),
                 d_max=getattr(args, "dmax", 0),
                 nn_max=getattr(args, "nnmax", 0),
                 cache_dir=args.cache_dir,

@@ -935,12 +935,18 @@ class LambdaRat:
 
 
 def evaluate_all_mod(values, points, mod):
-    """The value of each LambdaRat of ``values`` at each of ``points``
-    modulo the prime ``mod``: one list per value, holding None where its
-    denominator vanishes.  The values of coordinate powers, monomials and
-    powers of linear forms at the points are computed once and shared by
-    all the values, and each denominator is evaluated from its factors, never
-    expanded."""
+    """The value of each of ``values`` at each of ``points`` modulo the
+    prime ``mod``: one list per value, holding None where its denominator
+    vanishes.  A value is a LambdaRat, num / (scalar * prod p^e), or a
+    FactoredWeightProduct, read as the fields of its expansion: the
+    numerator sign * scalar.numerator * prod_{e>0} p^e over the denominator
+    scalar.denominator * prod_{e<0} p^(-e).  So a product is never
+    expanded, and its residues and poles are those of its expansion.
+
+    The values of coordinate powers, monomials and each power p^e of a
+    form at the points are computed once and shared by all the values, and
+    the nonzero denominators are inverted together, with one modular
+    inversion (Montgomery's trick)."""
     points = [tuple(a % mod for a in point) for point in points]
     powers = {}
     monomials = {}
@@ -952,29 +958,60 @@ def evaluate_all_mod(values, points, mod):
             w = powers[axis, e] = [pow(pt[axis], e, mod) for pt in points]
         return w
 
-    out = []
+    def form_power(p, e):
+        w = forms.get((p, e))
+        if w is None:
+            w = forms[p, e] = [
+                pow(p[0] * x + p[1] * y + p[2] * z, e, mod) for x, y, z in points
+            ]
+        return w
+
+    nums, dens = [], []
     for v in values:
-        dens = [v.scalar % mod] * len(points)
-        for p, e in v.factors.items():
-            w = forms.get((p, e))
-            if w is None:
-                w = forms[p, e] = [
-                    pow(p[0] * x + p[1] * y + p[2] * z, e, mod) for x, y, z in points
-                ]
-            dens = [d * f % mod for d, f in zip(dens, w)]
-        totals = [0] * len(points)
-        for m, c in v.num.items():
-            w = monomials.get(m)
-            if w is None:
-                xs, ys, zs = power(0, m[0]), power(1, m[1]), power(2, m[2])
-                w = monomials[m] = [
-                    px * py % mod * pz % mod for px, py, pz in zip(xs, ys, zs)
-                ]
-            totals = [t + c * u for t, u in zip(totals, w)]
-        out.append([
-            t % mod * pow(d, -1, mod) % mod if d else None
-            for t, d in zip(totals, dens)
-        ])
+        if isinstance(v, FactoredWeightProduct):
+            num = [v.sign * v.scalar.numerator % mod] * len(points)
+            den = [v.scalar.denominator % mod] * len(points)
+            for p, e in v.factors.items():
+                if e > 0:
+                    num = [t * f % mod for t, f in zip(num, form_power(p, e))]
+                else:
+                    den = [d * f % mod for d, f in zip(den, form_power(p, -e))]
+        else:
+            den = [v.scalar % mod] * len(points)
+            for p, e in v.factors.items():
+                den = [d * f % mod for d, f in zip(den, form_power(p, e))]
+            num = [0] * len(points)
+            for m, c in v.num.items():
+                w = monomials.get(m)
+                if w is None:
+                    xs, ys, zs = power(0, m[0]), power(1, m[1]), power(2, m[2])
+                    w = monomials[m] = [
+                        px * py % mod * pz % mod for px, py, pz in zip(xs, ys, zs)
+                    ]
+                num = [t + c * u for t, u in zip(num, w)]
+        nums.append(num)
+        dens.append(den)
+    inverses = iter(_inverses([d for den in dens for d in den if d], mod))
+    return [
+        [t * next(inverses) % mod if d else None for t, d in zip(num, den)]
+        for num, den in zip(nums, dens)
+    ]
+
+
+def _inverses(xs, mod):
+    """The inverses of the nonzero residues ``xs`` modulo the prime ``mod``,
+    from one modular inversion of their product (Montgomery's trick)."""
+    if not xs:
+        return []
+    prefix = [xs[0]]
+    for x in xs[1:]:
+        prefix.append(prefix[-1] * x % mod)
+    inv = pow(prefix[-1], -1, mod)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % mod
+        inv = inv * xs[i] % mod
+    out[0] = inv
     return out
 
 

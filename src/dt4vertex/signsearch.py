@@ -10,6 +10,13 @@ enumerating its kernel, include all of them; each of these candidates is
 then verified with exact arithmetic.  The reported solution sets are
 therefore both sound and complete.
 
+The terms of a vertex identity are Euler roots, sign * scalar * prod p^e,
+and their rows are evaluated from that factored form (``_solver_state``),
+to the residues of the expansion; the expansions serve only the exact sums
+that check candidates and form PT partial sums.  The elimination
+(``_row_reduce``) runs on rows packed one int each and reduces only the
+pivot row as it goes.
+
 Two identities are solved.  ``check nekrasov`` decides Nekrasov's formula
 V^DT_empty = exp(qC), C = (l1+l2)(l1+l3)(l2+l3) / (l1 l2 l3 (l1+l2+l3)),
 for the signed empty DT vertex.  ``check dtpt`` decides the DT/PT vertex
@@ -173,14 +180,17 @@ def _evaluation_points():
         yield tuple(point)
 
 
-def _solver_state(terms):
+def _solver_state(values):
     """The rows shared by every solve over one term list: k + 2 points
-    where every term is defined, each with the terms' values there.  Checks
-    the unknown bound first, so an oversized order builds nothing."""
-    k = len(terms)
+    where every term is defined, each with the terms' values there.
+    ``values`` lists the terms as LambdaRats or, for roots, as their
+    FactoredWeightProducts, which ``evaluate_all_mod`` evaluates with no
+    expansion and to the same residues.  Checks the unknown bound first, so
+    an oversized order builds nothing."""
+    k = len(values)
     if k > MAX_UNKNOWNS:
         raise RuntimeError(f"{k} unknowns exceeds the solver bound {MAX_UNKNOWNS}")
-    for t in terms:
+    for t in values:
         if t.is_zero():
             raise ValueError("zero terms must be factored out before solving")
     # a point is unusable where it zeroes a form of some term, which a
@@ -190,7 +200,7 @@ def _solver_state(terms):
     points, rows = [], []
     for _ in range(2):
         batch = list(itertools.islice(source, k + 2 - len(points)))
-        for point, *row in zip(batch, *evaluate_all_mod(terms, batch, PRIME)):
+        for point, *row in zip(batch, *evaluate_all_mod(values, batch, PRIME)):
             if None not in row:
                 points.append(point)
                 rows.append(row)
@@ -198,29 +208,56 @@ def _solver_state(terms):
 
 
 def _row_reduce(system, k):
-    """Gauss-Jordan elimination mod PRIME of augmented rows with k
-    unknowns: (pivot columns, reduced rows with a 1 at their pivot), or
-    None when the system is inconsistent."""
-    rows = [list(r) for r in system]
+    """Gauss-Jordan elimination mod PRIME of augmented rows of residues
+    with k unknowns: (pivot columns, reduced rows with a 1 at their pivot), or
+    None when the system is inconsistent.
+
+    Each row is held as one int, entry j in slot j, a slot of the fewest
+    whole bytes holding S = 2 * bitlen(PRIME) + bitlen(rows + 2) + 1 bits.
+    Column c is eliminated by adding (PRIME - f) times the pivot row to
+    every other row, f its slot c modulo PRIME, and nothing is reduced:
+    only the pivot row is unpacked, normalized and repacked, once per
+    pivot, and every slot is reduced once at the end.  A pivot row's slots
+    are below PRIME and a row takes at most one update per pivot, so a slot
+    stays below PRIME + rows * PRIME^2 < 2^S and no carry crosses into the
+    next slot."""
+    size = (2 * PRIME.bit_length() + (len(system) + 2).bit_length() + 8) // 8
+    w = 8 * size
+    mask = (1 << w) - 1
+
+    def pack(row):
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in row), "little")
+
+    def unpack(n, slots):
+        data = n.to_bytes(slots * size, "little")
+        return [
+            int.from_bytes(data[i:i + size], "little") % PRIME
+            for i in range(0, slots * size, size)
+        ]
+
+    rows = [pack(row) for row in system]
     pivots = []
     for col in range(k):
+        shift = w * col
         r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        i = next(
+            (i for i in range(r, len(rows)) if (rows[i] >> shift & mask) % PRIME), None
+        )
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        # the entries of rows[r] left of col are 0, so each update starts at col
-        inv = pow(rows[r][col], -1, PRIME)
-        tail = [v * inv % PRIME for v in rows[r][col:]]
-        rows[r][col:] = tail
+        # the slots of rows[r] left of col are 0 mod PRIME, so the pivot row
+        # starts at col
+        tail = unpack(rows[r] >> shift, k + 1 - col)
+        inv = pow(tail[0], -1, PRIME)
+        pivot = rows[r] = pack([v * inv % PRIME for v in tail]) << shift
         for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                row[col:] = [(a - f * b) % PRIME for a, b in zip(row[col:], tail)]
+            if i != r and (f := (row >> shift & mask) % PRIME):
+                rows[i] = row + (PRIME - f) * pivot
         pivots.append(col)
-    if any(row[k] for row in rows[len(pivots):]):
+    if any((row >> w * k) % PRIME for row in rows[len(pivots):]):
         return None
-    return pivots, rows[:len(pivots)]
+    return pivots, [unpack(row, k + 1) for row in rows[:len(pivots)]]
 
 
 def _binary_solutions(pivots, rows, k):
@@ -261,7 +298,8 @@ def solve_signed_sum(terms, target, _reuse=None):
     one is verified with exact arithmetic.  The answer is complete, since
     every true solution satisfies every evaluated row, and sound, since
     every candidate is checked exactly.  ``_reuse`` is the state of
-    ``_solver_state(terms)``, shared by several targets.
+    ``_solver_state`` of the terms, or of their factored values, shared by
+    several targets.
     """
     k = len(terms)
     if k == 0:
@@ -516,7 +554,9 @@ def solve_nekrasov(order, cache=None):
     orders = []
     for n in range(trunc):
         o = _order_solve(n, by_order[n], [])
-        sols = solve_signed_sum([r.expand() for r in o.roots], target.coefficient(n))
+        state = _solver_state([r.value for r in o.roots]) if o.roots else None
+        terms = [r.expand() for r in o.roots]
+        sols = solve_signed_sum(terms, target.coefficient(n), _reuse=state)
         o.solutions.append(sols)
         if not sols:
             o.rhs = [target.coefficient(n)]
@@ -643,8 +683,8 @@ def solve_dtpt_direct(legs, trunc, cache=None):
     orders = []
     for n in range(trunc):
         o = _order_solve(n + lowest, dt_by_order[n], pt_by_order[n])
+        state = _solver_state([r.value for r in o.roots]) if o.roots else None
         terms = [r.expand() for r in o.roots]
-        state = _solver_state(terms) if terms else None
         children = []
         rhs_of = []
         # the sorted solutions of each right-hand side solved at this order

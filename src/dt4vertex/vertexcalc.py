@@ -29,6 +29,7 @@ key behind the substitution's prefix (``subst_key``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactalg import (
     FactoredWeightProduct,
@@ -37,6 +38,7 @@ from .exactalg import (
     QSeries,
     TLaurent,
     binomial_laurent,
+    canonical_form,
     lambdarat_sum,
     laurent_div_binomial,
     weight_form,
@@ -281,15 +283,29 @@ def euler_sqrt(v):
             zero_contribution = True
     if zero_contribution:
         return SqrtEuler.zero()
-    value = FactoredWeightProduct.one()
+    # the product of one mul_form(f, -c) per kept weight, built once: f = g p
+    # with p primitive (f has positive lead, so no sign) gives p^(-c) and
+    # g^(-c), and a factor whose exponent returns to 0 is dropped at once,
+    # as mul_form drops it
+    factors = {}
+    num = den = 1
     parity = 0
     for w, c in sorted(v.terms.items()):
         f = weight_form(w)
         lead = f[0] if f[0] else (f[1] if f[1] else f[2])
         if lead > 0:
-            value = value.mul_form(f, -c)
+            _, g, p = canonical_form(f)
+            e = factors.get(p, 0) - c
+            if e:
+                factors[p] = e
+            else:
+                del factors[p]
+            if c < 0:
+                num *= g ** -c
+            else:
+                den *= g ** c
             parity += c
-    return SqrtEuler(value, parity % 2)
+    return SqrtEuler(FactoredWeightProduct(1, Fraction(num, den), factors), parity % 2)
 
 
 def substitution_forms(subst):

@@ -330,6 +330,26 @@ class TestCheckCommands:
         assert (rc, out) == (2, f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "geometry, beta",
+        [
+            ("localp1p1", "1,,0"),
+            ("localp2", "1,"),
+            ("localp2", "a"),
+            ("localp2", ""),
+            ("localp2", "1.0"),
+            ("localp2", "1_0"),
+        ],
+        ids=["empty-inner", "empty-last", "letter", "empty", "float", "underscore"],
+    )
+    def test_malformed_beta_is_usage_error(self, monkeypatch, geometry, beta):
+        # an empty component used to be dropped, so "1,,0" ran as [1, 0]
+        self.forbid_checks(monkeypatch)
+        rc, out = run(
+            ["check", "global", "--geometry", geometry, "--beta", beta, "--order", "2"]
+        )
+        assert (rc, out) == (2, f"error: --beta {beta!r}: expected comma-separated integers\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [["--dmax", "0"], ["--dmax", "0", "--nnmax", "0"]],
         ids=["dmax", "dmax-and-nnmax"],

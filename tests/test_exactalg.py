@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dt4vertex.exactalg import (
+    PRIME,
     SCREEN_PRIME,
     DivisionNotUnit,
     FactoredWeightProduct,
@@ -39,6 +40,9 @@ from dt4vertex.exactalg import (
     _unchunk,
     _widen,
 )
+from dt4vertex.partitions import enumerate_pointlike
+from dt4vertex.toric import load_geometry
+from dt4vertex.vertexcalc import dt_vertex_root, relabel_root, substitution_forms
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -66,6 +70,18 @@ def random_lambdarat(rng, deg=2):
 def inverse_form(f):
     """1/f for any nonzero integer linear form f."""
     return FactoredWeightProduct.one().mul_form(f, -1).expand()
+
+
+def random_factored(rng):
+    """A random nonzero sign * scalar * prod p^e, with up to four primitive
+    forms p and exponents e in -3..3."""
+    factors = {}
+    for _ in range(rng.randint(0, 4)):
+        f = (rng.randint(0, 2), rng.randint(-2, 2), rng.randint(-1, 2))
+        if any(f):
+            factors[canonical_form(f)[2]] = rng.randint(-3, 3)
+    scalar = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return FactoredWeightProduct(rng.choice([1, -1]), scalar, factors)
 
 
 def lift_to(x, scalar, factors):
@@ -731,6 +747,24 @@ class TestLambdaRat:
         ]
         assert evaluate_all_mod(values, points, 101)[-1][1] is None
         assert evaluate_all_mod(values, [], 101) == [[] for _ in values]
+
+        # a FactoredWeightProduct is evaluated unexpanded, to the residues
+        # and poles of its expansion, beside LambdaRats sharing its powers of
+        # forms: random products, the roots of the empty vertex through q^3
+        # and those roots relabelled into a chart of local P^2
+        roots = [dt_vertex_root(sp)[1] for n in range(4) for sp in enumerate_pointlike(n)]
+        forms = substitution_forms(load_geometry("localp2").charts[1])
+        roots += [relabel_root(r, forms)[1] for r in roots]
+        factored = [random_factored(rng) for _ in range(12)] + [r.value for r in roots]
+        factored += [FactoredWeightProduct.zero(), FactoredWeightProduct(-1, Fraction(3, 4))]
+        expanded = [f.expand() for f in factored]
+        # points on the poles l1, l1 + l2 and l1 + l2 + l3, and random ones
+        for mod in (101, PRIME):
+            points = [(0, 7, 11), (3, mod - 3, 5), (1, 1, mod - 2)]
+            points += [tuple(rng.randrange(mod) for _ in range(3)) for _ in range(6)]
+            got = evaluate_all_mod(factored + values, points, mod)
+            assert got == evaluate_all_mod(expanded + values, points, mod)
+            assert any(None in col for col in got[12:len(roots) + 12])
 
     def test_field_ops_random(self):
         rng = random.Random(13)

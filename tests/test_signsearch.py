@@ -91,6 +91,47 @@ def unshared_solutions(solve):
     return out
 
 
+def row_reduce_oracle(system, k):
+    """List oracle of ``signsearch._row_reduce``: Gauss-Jordan elimination
+    mod PRIME one residue at a time, every entry reduced at every step."""
+    rows = [list(r) for r in system]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        # the entries of rows[r] left of col are 0, so each update starts at col
+        inv = pow(rows[r][col], -1, PRIME)
+        tail = [v * inv % PRIME for v in rows[r][col:]]
+        rows[r][col:] = tail
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                row[col:] = [(a - f * b) % PRIME for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+    if any(row[k] for row in rows[len(pivots):]):
+        return None
+    return pivots, rows[:len(pivots)]
+
+
+def oracle_checked_row_reduce(monkeypatch):
+    """Patch ``signsearch._row_reduce`` to assert that every call returns
+    what the oracle returns; the list of each call's k is returned."""
+    calls = []
+    real = signsearch._row_reduce
+
+    def checked(system, k):
+        got = real(system, k)
+        assert got == row_reduce_oracle(system, k)
+        calls.append(k)
+        return got
+
+    monkeypatch.setattr(signsearch, "_row_reduce", checked)
+    return calls
+
+
 def planted(rng, terms):
     """A random sign vector and the signed sum it gives."""
     eps = tuple(rng.choice([1, -1]) for _ in terms)
@@ -184,6 +225,10 @@ class TestSolveSignedSum:
         monkeypatch.setattr(signsearch, "evaluate_all_mod", no_evaluation)
         with pytest.raises(RuntimeError, match="41 unknowns exceeds"):
             signsearch._solver_state([a] * 41)
+        # nor of the factored roots the solves pass
+        f = FactoredWeightProduct(1, 1, {(1, 1, 2): 1, (0, 1, 0): -1})
+        with pytest.raises(RuntimeError, match="41 unknowns exceeds"):
+            signsearch._solver_state([f] * 41)
 
     def test_points_where_target_is_undefined(self, monkeypatch):
         # 24 unknowns, beyond what any 2^k exhaustion could take
@@ -226,6 +271,82 @@ class TestSolveSignedSum:
         slow = naive_signed_sum(terms, target)
         assert fast == slow
         assert len(fast) == 1
+
+
+class TestRowReduce:
+    @staticmethod
+    def system(rng, k, m, rank, consistent):
+        """m augmented rows in k unknowns whose coefficients have the given
+        rank for these seeds: random combinations of rank rows whose entries
+        are drawn towards 0, 1 and PRIME - 1.  A consistent system's
+        right-hand side is A x for a random x, otherwise it is random."""
+        def entry():
+            return rng.choice([0, 1, PRIME - 1, rng.randrange(PRIME)])
+
+        basis = [[entry() for _ in range(k)] for _ in range(rank)]
+        x = [rng.randrange(PRIME) for _ in range(k)]
+        out = []
+        for _ in range(m):
+            c = [rng.randrange(PRIME) for _ in range(rank)]
+            row = [sum(a * b[j] for a, b in zip(c, basis)) % PRIME for j in range(k)]
+            rhs = sum(a * b for a, b in zip(row, x)) if consistent else entry()
+            out.append(row + [rhs % PRIME])
+        return out
+
+    @pytest.mark.parametrize(
+        "k, m, rank, consistent",
+        [
+            (8, 10, 8, True),
+            (8, 10, 8, False),
+            (12, 14, 5, True),
+            (12, 14, 5, False),
+            (40, 42, 40, True),
+            (40, 42, 33, True),
+            (40, 42, 33, False),
+            (5, 3, 3, True),
+        ],
+        ids=[
+            "full-rank", "full-rank-inconsistent", "deficient", "inconsistent",
+            "k40", "k40-deficient", "k40-inconsistent", "short",
+        ],
+    )
+    def test_packed_matches_oracle(self, k, m, rank, consistent):
+        rng = random.Random(k * 1000 + m * 10 + rank + consistent)
+        for _ in range(5):
+            system = self.system(rng, k, m, rank, consistent)
+            got = signsearch._row_reduce(system, k)
+            assert got == row_reduce_oracle(system, k)
+            if consistent:
+                assert len(got[0]) == rank
+            else:
+                assert got is None
+
+    def test_leading_zero_columns_and_worst_entries(self):
+        # free columns before the first pivot, many equal rows, and entries
+        # near PRIME, so that the unreduced slots grow large
+        k = 30
+        system = [[0, 0] + [PRIME - 1] * (k - 1) for _ in range(k + 2)]
+        system += [[0, 0] + [PRIME - 1 - i] + [i + 1] * (k - 2) for i in range(k)]
+        assert signsearch._row_reduce(system, k) == row_reduce_oracle(system, k)
+
+    def test_every_desk_solve_matches_oracle(self, monkeypatch):
+        # every reduction of Nekrasov's identity mod q^5 and of the
+        # criterion-2a leg sets mod q^4
+        calls = oracle_checked_row_reduce(monkeypatch)
+        assert check_nekrasov(4).ok
+        for L in leg_tuples(2):
+            assert check_dtpt(*L, 4).ok
+        assert max(calls) == 36 and len(calls) == 21
+
+    def test_nekrasov_order_five_past_the_bound(self, monkeypatch):
+        # order 5 has 59 unknowns, beyond the bound of 40 and beyond every
+        # other tier-1 solve; lifted, it has one solution per order
+        monkeypatch.setattr(signsearch, "MAX_UNKNOWNS", 59)
+        calls = oracle_checked_row_reduce(monkeypatch)
+        orders = signsearch.solve_nekrasov(5)
+        assert [len(o.keys) for o in orders] == [1, 1, 4, 10, 26, 59]
+        assert all(len(o.solutions) == 1 and len(o.solutions[0]) == 1 for o in orders)
+        assert calls[-1] == 59
 
 
 class TestSignAssignment:

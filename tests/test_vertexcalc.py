@@ -11,6 +11,8 @@ from dt4vertex.exactalg import (
     NotPolynomial,
     TLaurent,
     binomial_laurent,
+    canonical_form,
+    weight_form,
 )
 from dt4vertex.partitions import (
     EMPTY_PP,
@@ -35,6 +37,7 @@ from dt4vertex.vertexcalc import (
     euler_sqrt,
     form_collect,
     pt_character,
+    pt_vertex_character,
     pt_vertex_series,
     redistribute_edge,
     redistribute_edge_division_oracle,
@@ -236,6 +239,36 @@ class TestEulerSqrt:
             et = euler_full_product(v)
             lhs = root.expand() * root.expand()
             assert lhs == (et.scale(-1) if root.parity else et)
+
+
+    def test_one_pass_equals_mul_form_chain(self):
+        # the root built in one pass is the product of one mul_form per kept
+        # weight, field by field and in factor order, on the empty vertex
+        # through q^5 and on a DT and a PT set with legs
+        def chain(v):
+            value, parity = FactoredWeightProduct.one(), 0
+            for w, c in sorted(v.terms.items()):
+                f = weight_form(w)
+                if canonical_form(f)[0] > 0:
+                    value = value.mul_form(f, -c)
+                    parity += c
+            return value, parity % 2
+
+        chars = [dt_vertex_character(sp) for sp in enumerate_dt(E, E, E, E, 5)]
+        chars += [dt_vertex_character(sp) for sp in enumerate_dt(BOX, BOX, E, E, 2)]
+        module = build_leg_module(BOX, BOX, E, E)
+        chars += [pt_vertex_character(c) for c in enumerate_boxconfigs(module, 2)]
+        nonzero = 0
+        for ch in chars:
+            root = euler_sqrt(ch.V)
+            if root.is_zero():
+                continue
+            nonzero += 1
+            value, parity = chain(ch.V)
+            assert root.parity == parity
+            assert (root.value.sign, root.value.scalar) == (value.sign, value.scalar)
+            assert list(root.value.factors.items()) == list(value.factors.items())
+        assert nonzero == 120
 
 
 class TestChartRoots:
