@@ -3,7 +3,8 @@
 One JSON record per fixed point, in standard coordinates, keyed by the
 canonical fixed-point key (legs and added boxes, box configuration, or edge
 and normal degrees): the factored rendering of its Euler root and the
-CRC-32 of key and root, behind a versioned header.  A chart's root is
+CRC-32 of key and root, behind a header that names the format version and
+the square-root convention of the roots.  A chart's root is
 relabelled from that record, so the key holds no substitution.  The file
 lives at <dir>/vertices.jsonl; DT4VERTEX_CACHE_DIR overrides the default
 directory.
@@ -15,9 +16,13 @@ import json
 import os
 import zlib
 
+from .vertexcalc import SQRT_CONVENTION
+
 FORMAT = "dt4vertex-cache"
 VERSION = 2
 FILENAME = "vertices.jsonl"
+# the convention of the version-2 files written before the header named it
+UNNAMED_SQRT = "positive-lead"
 
 
 def default_cache_dir():
@@ -54,8 +59,8 @@ class VertexCache:
     An append that was cut short leaves a last line without its newline.
     Loading skips that line, and the next append cuts it away first.  Any
     other malformed line, a record whose CRC-32 does not match its key and
-    root, and a header of another format or version raise ValueError, which
-    names the file.
+    root, and a header of another format, version or square-root convention
+    raise ValueError, which names the file.
     """
 
     def __init__(self, directory=None):
@@ -89,6 +94,12 @@ class VertexCache:
                     f"cache file {self.path} has format version {meta.get('version')!r}, "
                     f"not {VERSION}; `dt4vertex cache clear` removes it"
                 )
+            sqrt = meta.get("sqrt", UNNAMED_SQRT)
+            if sqrt != SQRT_CONVENTION:
+                raise ValueError(
+                    f"cache file {self.path} has square-root convention {sqrt!r}, "
+                    f"not {SQRT_CONVENTION!r}; `dt4vertex cache clear` removes it"
+                )
             for n, line in enumerate(fh, 2):
                 if not line.endswith(b"\n"):
                     self._torn_at = fh.tell() - len(line)
@@ -116,7 +127,8 @@ class VertexCache:
                 fh.truncate(self._torn_at)
                 self._torn_at = None
             if fh.seek(0, os.SEEK_END) == 0:
-                fh.write(json.dumps({"format": FORMAT, "version": VERSION}).encode() + b"\n")
+                header = {"format": FORMAT, "version": VERSION, "sqrt": SQRT_CONVENTION}
+                fh.write(json.dumps(header).encode() + b"\n")
             fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
 
     def get(self, key):

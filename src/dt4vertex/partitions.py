@@ -9,6 +9,7 @@ x1^a x2^b x3^c x4^d.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -103,7 +104,8 @@ class PlanePartition:
         )
 
     def render(self):
-        return json.dumps([list(r) for r in self.rows], separators=(",", ":"))
+        """The row-list form, e.g. "[[2,1],[1]]": the compact JSON of the rows."""
+        return "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in self.rows) + "]"
 
     def sort_key(self):
         return (self.size(), self.rows)
@@ -294,13 +296,54 @@ def renormalized_volume_truncated(sp, bound):
     return total
 
 
+def frontier_search(frontier, opened, weight, budget, reverse=False):
+    """Depth-first search over the box sets grown one addable box at a time.
+
+    ``frontier`` lists the boxes addable to the empty set in the search
+    order: increasing, or decreasing when ``reverse``.  ``opened(box,
+    chosen)`` lists those that become addable once ``box`` has joined the
+    set ``chosen``; adding a box takes nothing else off the frontier.
+    ``weight(box)`` is what a box costs of ``budget``.  A node's children
+    are the frontier boxes after its last box in the search order that fit
+    the budget left, so every set is reached along exactly one path, in the
+    order of a scan that tries every candidate box after the last one added.
+
+    Yields the list of the boxes added, in the order added, at every node
+    but the root.  The list is the search's own: copy it before resuming.
+    """
+    chosen = []
+    present = set()
+
+    def rec(cands, left):
+        for i, box in enumerate(cands):
+            chosen.append(box)
+            present.add(box)
+            yield chosen
+            rest = left - weight(box)
+            kids = cands[i + 1:]
+            new = opened(box, present)
+            if new:
+                kids = sorted(kids + new, reverse=reverse)
+            kids = [b for b in kids if weight(b) <= rest]
+            if kids:
+                yield from rec(kids, rest)
+            chosen.pop()
+            present.discard(box)
+
+    yield from rec([b for b in frontier if weight(b) <= budget], budget)
+
+
 def enumerate_dt(lam, mu, nu, rho, max_added):
     """All solid partitions with the given legs and at most max_added boxes
     above the CM completion, each exactly once.
 
-    Boxes are addable only when every lattice predecessor is present, and
-    candidates are explored in increasing lexicographic order so every
-    configuration is generated along exactly one path.
+    A depth-first search over the addable frontier: the boxes inside the
+    bounds, outside the CM completion and the added set, whose every
+    lattice predecessor is present.  Adding a box opens each successor
+    box + e_i inside the bounds whose predecessors are then all present, and
+    a node's children are the frontier boxes lexicographically greater than
+    the last box added, in increasing order.  The order of the sequence is
+    the order the sign solver's unknowns, and so every report, follow.
     """
     if max_added < 0:
         raise ValueError("max_added must be >= 0")
@@ -312,46 +355,37 @@ def enumerate_dt(lam, mu, nu, rho, max_added):
     # stabilized, so an added box needs a predecessor chain of added boxes
     # from there; max_added bounds the reach.
     bounds = tuple(x + max_added for x in cm.multi_leg_bounds())
-    candidates = [
-        (a, b, c, d)
-        for a in range(bounds[0])
-        for b in range(bounds[1])
-        for c in range(bounds[2])
-        for d in range(bounds[3])
-        if not cm.cm_contains((a, b, c, d))
-    ]
-    candidates.sort()
+    legs = cm.legs
+    cm_contains = cm.cm_contains
 
-    added = []
-    added_set = set()
-
-    def addable(box):
+    def addable(box, present):
         for ax in range(4):
-            if box[ax] == 0:
-                continue
-            pred = list(box)
-            pred[ax] -= 1
-            pred = tuple(pred)
-            if pred not in added_set and not cm.cm_contains(pred):
-                return False
+            if box[ax]:
+                pred = box[:ax] + (box[ax] - 1,) + box[ax + 1:]
+                if pred not in present and not cm_contains(pred):
+                    return False
         return True
 
-    def rec(start):
-        for idx in range(start, len(candidates)):
-            box = candidates[idx]
-            if not addable(box):
-                continue
-            added.append(box)
-            added_set.add(box)
-            sp = SolidPartition(cm.legs, frozenset(added))
-            sp.validate()
-            yield sp
-            if len(added) < max_added:
-                yield from rec(idx + 1)
-            added.pop()
-            added_set.discard(box)
+    def opened(box, present):
+        out = []
+        for ax in range(4):
+            if box[ax] + 1 < bounds[ax]:
+                succ = box[:ax] + (box[ax] + 1,) + box[ax + 1:]
+                if addable(succ, present):
+                    out.append(succ)
+        return out
 
-    yield from rec(0)
+    # A box b addable to the CM completion with b_j > 0 has b - e_j in a leg
+    # other than leg j, so b_j <= multi_leg_bounds()[j] < bounds[j].
+    frontier = [
+        box
+        for box in itertools.product(*(range(x + 1) for x in cm.multi_leg_bounds()))
+        if not cm_contains(box) and addable(box, ())
+    ]
+    for added in frontier_search(frontier, opened, lambda box: 1, max_added):
+        sp = SolidPartition(legs, added)
+        sp.validate()
+        yield sp
 
 
 def enumerate_pointlike(n):

@@ -11,6 +11,7 @@ reporting only.
 from __future__ import annotations
 
 from .exactalg import TLaurent
+from .partitions import frontier_search
 
 OUTSIDE = "outside"
 I_PLUS = "I+"
@@ -173,9 +174,15 @@ def enumerate_boxconfigs(module, max_len):
     """All gravity-closed configurations of weighted length <= max_len,
     each exactly once.
 
-    Boxes are added in decreasing lexicographic order; a box may be added
-    only when all its in-region successors are already present, which makes
-    every closed configuration reachable along exactly one path.
+    The mirror image of ``partitions.enumerate_dt``: a depth-first search
+    over the closable frontier, the weights of ``module.candidates(max_len)``
+    outside the configuration whose every in-region successor is in it.
+    Adding a weight opens each candidate predecessor w - e_i whose
+    in-region successors are then all present, and a node's children are
+    the frontier weights lexicographically smaller than the last one added
+    that fit the weighted budget left, in decreasing order.  The order of
+    the sequence is the order the sign solver's unknowns, and so every
+    report, follow.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -185,36 +192,29 @@ def enumerate_boxconfigs(module, max_len):
     if max_len == 0:
         return
     cands = module.candidates(max_len)
-    weights = [module.box_weight(w) for w in cands]
+    weights = {w: module.box_weight(w) for w in cands}
+    in_box_region = module.in_box_region
 
-    chosen = []
-    chosen_set = set()
-
-    def closable(w):
+    def closable(w, present):
         for ax in range(4):
-            s = list(w)
-            s[ax] += 1
-            s = tuple(s)
-            if module.in_box_region(s) and s not in chosen_set:
+            succ = w[:ax] + (w[ax] + 1,) + w[ax + 1:]
+            if succ not in present and in_box_region(succ):
                 return False
         return True
 
-    def rec(start, used):
-        for idx in range(start, len(cands)):
-            w = cands[idx]
-            wt = weights[idx]
-            if used + wt > max_len or not closable(w):
-                continue
-            chosen.append(w)
-            chosen_set.add(w)
-            config = BoxConfig(module, frozenset(chosen))
-            config.check_closed()
-            yield config
-            yield from rec(idx + 1, used + wt)
-            chosen.pop()
-            chosen_set.discard(w)
+    def opened(w, present):
+        out = []
+        for ax in range(4):
+            pred = w[:ax] + (w[ax] - 1,) + w[ax + 1:]
+            if pred in weights and closable(pred, present):
+                out.append(pred)
+        return out
 
-    yield from rec(0, 0)
+    frontier = [w for w in cands if closable(w, ())]
+    for chosen in frontier_search(frontier, opened, weights.__getitem__, max_len, reverse=True):
+        config = BoxConfig(module, chosen)
+        config.check_closed()
+        yield config
 
 
 def oracle_submodules(module, max_len, trunc=None):

@@ -265,6 +265,13 @@ def check_cy_symmetric(v):
     return True
 
 
+# The square-root convention of euler_sqrt, recorded in the cache header.
+# Change it whenever euler_sqrt changes which root it returns: a cache file
+# of another convention is then refused, not read, since its checksums
+# still hold.
+SQRT_CONVENTION = "positive-lead"
+
+
 def euler_sqrt(v):
     """Canonical square root of the signed Euler class of -V.
 

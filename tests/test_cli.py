@@ -7,6 +7,7 @@ from dt4vertex.cache import VertexCache
 from dt4vertex.cli import main, parse_legs
 from dt4vertex.partitions import PlanePartition
 from dt4vertex.toric import preset_local_p2
+from dt4vertex.vertexcalc import SQRT_CONVENTION
 
 
 def run(argv):
@@ -477,7 +478,8 @@ class TestCacheCommand:
         key, root = dt_vertex_root(sp, None, first)
         path = cdir / "vertices.jsonl"
         header, live = path.read_bytes().splitlines()
-        assert json.loads(header) == {"format": "dt4vertex-cache", "version": 2}
+        assert json.loads(header) == {
+            "format": "dt4vertex-cache", "version": 2, "sqrt": SQRT_CONVENTION}
         assert sorted(json.loads(live)) == ["crc32", "key", "root"]
         # a later put appends one whole line after the records already there
         cache = VertexCache(str(cdir))
@@ -495,6 +497,35 @@ class TestCacheCommand:
             VertexCache(str(cdir))
         rc, out = run(["cache", "stats", "--cache-dir", str(cdir)])
         assert rc == 2 and out.startswith("error: ") and str(path) in out
+
+    def test_foreign_sqrt_convention_is_an_error(self, tmp_path):
+        # a root cached under another square-root convention passes its
+        # checksum, so only the header can refuse it
+        from dt4vertex.partitions import EMPTY_PP, SolidPartition
+        from dt4vertex.vertexcalc import dt_vertex_root
+
+        cdir = tmp_path / "cache"
+        sp = SolidPartition((EMPTY_PP,) * 4, {(0, 0, 0, 0)})
+        key, _ = dt_vertex_root(sp, None, VertexCache(str(cdir)))
+        path = cdir / "vertices.jsonl"
+        _, live = path.read_bytes().splitlines()
+        # a version-2 header that names no convention predates the name
+        path.write_bytes(b'{"format": "dt4vertex-cache", "version": 2}\n' + live + b"\n")
+        assert VertexCache(str(cdir)).keys() == [key]
+        header = {"format": "dt4vertex-cache", "version": 2, "sqrt": "negative-lead"}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + live + b"\n")
+        with pytest.raises(ValueError, match="square-root convention 'negative-lead'"):
+            VertexCache(str(cdir))
+        for action in ("list", "stats"):
+            rc, out = run(["cache", action, "--cache-dir", str(cdir)])
+            assert (rc, out) == (2, (
+                f"error: cache file {path} has square-root convention 'negative-lead', "
+                f"not {SQRT_CONVENTION!r}; `dt4vertex cache clear` removes it\n"))
+        rc, out = run(["vertex", "--flavor", "dt", "--legs", "[],[],[],[]", "--order", "2",
+                       "--use-cache", "--cache-dir", str(cdir)])
+        assert rc == 2 and str(path) in out
+        assert run(["cache", "clear", "--cache-dir", str(cdir)]) == (0, "cache cleared\n")
+        assert not path.exists()
 
     def test_damaged_record_is_an_error(self, tmp_path):
         # a root scalar set to 7 used to print a q^1 coefficient 7 times too

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -168,6 +169,99 @@ class TestEnumerateDT:
         for sp in out:
             sp.validate()
         assert len(out) >= 2
+
+
+def enumerate_dt_scan_oracle(lam, mu, nu, rho, max_added):
+    """Scan oracle of ``enumerate_dt``: at every node of the search it tries
+    every candidate box of the bounding region after the last box added."""
+    cm = SolidPartition((lam, mu, nu, rho))
+    yield cm
+    if max_added == 0:
+        return
+    bounds = tuple(x + max_added for x in cm.multi_leg_bounds())
+    candidates = [
+        (a, b, c, d)
+        for a in range(bounds[0])
+        for b in range(bounds[1])
+        for c in range(bounds[2])
+        for d in range(bounds[3])
+        if not cm.cm_contains((a, b, c, d))
+    ]
+    candidates.sort()
+    added = []
+    added_set = set()
+
+    def addable(box):
+        for ax in range(4):
+            if box[ax] == 0:
+                continue
+            pred = list(box)
+            pred[ax] -= 1
+            pred = tuple(pred)
+            if pred not in added_set and not cm.cm_contains(pred):
+                return False
+        return True
+
+    def rec(start):
+        for idx in range(start, len(candidates)):
+            box = candidates[idx]
+            if not addable(box):
+                continue
+            added.append(box)
+            added_set.add(box)
+            yield SolidPartition(cm.legs, frozenset(added))
+            if len(added) < max_added:
+                yield from rec(idx + 1)
+            added.pop()
+            added_set.discard(box)
+
+    yield from rec(0)
+
+
+def keys(fixed_points):
+    return [fp.key() for fp in fixed_points]
+
+
+class TestEnumerationSequence:
+    """``enumerate_dt`` yields the scan oracle's keys in the oracle's order:
+    the sign solver's unknowns, and so every report, follow that order."""
+
+    @pytest.mark.parametrize("max_added", range(7))
+    def test_empty_legs(self, max_added):
+        legs = (EMPTY_PP,) * 4
+        assert keys(enumerate_dt(*legs, max_added)) == keys(
+            enumerate_dt_scan_oracle(*legs, max_added))
+
+    def test_criterion_2a_leg_sets(self):
+        from test_acceptance import leg_tuples
+
+        for legs in leg_tuples(2):
+            for budget in range(5):
+                assert keys(enumerate_dt(*legs, budget)) == keys(
+                    enumerate_dt_scan_oracle(*legs, budget)), (legs, budget)
+
+    @pytest.mark.parametrize(
+        "legs",
+        [
+            (PlanePartition([[2, 1], [1]]), BOX, EMPTY_PP, EMPTY_PP),
+            (PlanePartition([[1, 1]]), BOX, PlanePartition([[2]]), EMPTY_PP),
+            (BOX, BOX, BOX, BOX),
+        ],
+        ids=["3+1", "2+1+2", "1+1+1+1"],
+    )
+    def test_larger_legs(self, legs):
+        for budget in range(5):
+            assert keys(enumerate_dt(*legs, budget)) == keys(
+                enumerate_dt_scan_oracle(*legs, budget))
+
+
+class TestRender:
+    def test_equals_compact_json(self):
+        for n in range(7):
+            for pp in plane_partitions_of(n):
+                want = json.dumps([list(r) for r in pp.rows], separators=(",", ":"))
+                assert pp.render() == want
+                assert PlanePartition.parse(pp.render()) == pp
 
 
 class TestFStatistic:

@@ -111,6 +111,66 @@ class TestEnumerateBoxConfigs:
         assert census(mod_a) == census(mod_b)
 
 
+def enumerate_boxconfigs_scan_oracle(module, max_len):
+    """Scan oracle of ``enumerate_boxconfigs``: at every node of the search
+    it tries every candidate weight after the last one added, in decreasing
+    order."""
+    yield BoxConfig(module, frozenset())
+    if max_len == 0:
+        return
+    cands = module.candidates(max_len)
+    weights = [module.box_weight(w) for w in cands]
+    chosen = []
+    chosen_set = set()
+
+    def closable(w):
+        for ax in range(4):
+            s = list(w)
+            s[ax] += 1
+            s = tuple(s)
+            if module.in_box_region(s) and s not in chosen_set:
+                return False
+        return True
+
+    def rec(start, used):
+        for idx in range(start, len(cands)):
+            w = cands[idx]
+            wt = weights[idx]
+            if used + wt > max_len or not closable(w):
+                continue
+            chosen.append(w)
+            chosen_set.add(w)
+            yield BoxConfig(module, frozenset(chosen))
+            yield from rec(idx + 1, used + wt)
+            chosen.pop()
+            chosen_set.discard(w)
+
+    yield from rec(0, 0)
+
+
+class TestEnumerationSequence:
+    """``enumerate_boxconfigs`` yields the scan oracle's keys in the
+    oracle's order: the sign solver's unknowns, and so every report, follow
+    that order."""
+
+    def assert_same_sequence(self, legs, budgets):
+        module = build_leg_module(*legs)
+        for budget in budgets:
+            got = [c.key() for c in enumerate_boxconfigs(module, budget)]
+            want = [c.key() for c in enumerate_boxconfigs_scan_oracle(module, budget)]
+            assert got == want, (legs, budget)
+
+    def test_criterion_2a_leg_sets(self):
+        from test_acceptance import leg_tuples
+
+        for legs in leg_tuples(2):
+            self.assert_same_sequence(legs, range(5))
+
+    def test_two_legs_of_three_and_one_boxes(self):
+        self.assert_same_sequence(
+            (PlanePartition([[2, 1], [1]]), BOX, EMPTY_PP, EMPTY_PP), range(5))
+
+
 class TestBoxConfigCharacter:
     def test_examples(self):
         mod2 = build_leg_module(BOX, BOX, EMPTY_PP, EMPTY_PP)
