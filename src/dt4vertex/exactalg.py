@@ -20,8 +20,7 @@ Three layers, all exact (no floating point anywhere):
   may cancel, to its quotient.
 * ``QSeries`` -- truncated Laurent series in q with LambdaRat coefficients.
 
-Values do not change after construction, except that a LambdaRat multiplies
-out its denominator on first use and caches it.
+Values do not change after construction.
 """
 
 from __future__ import annotations
@@ -735,7 +734,7 @@ class LambdaRat:
     divides ``num`` and gcd(content(num), scalar) = 1; zero is 0 / 1.  The
     form is unique, so equality compares fields and equal values render to
     equal text.  ``den`` is the expanded denominator, multiplied out on
-    first read.  Division is by units (``inv``) or, for any product of
+    each read.  Division is by units (``inv``) or, for any product of
     linear forms, by multiplying with ``(FactoredWeightProduct **
     -1).expand()``.
 
@@ -746,7 +745,7 @@ class LambdaRat:
     the same divisions on its numerator, packed (``_chunks``).
     """
 
-    __slots__ = ("num", "scalar", "factors", "_den")
+    __slots__ = ("num", "scalar", "factors")
 
     def __init__(self, num, scalar=1, factors=None):
         """``factors`` maps primitive positive-lead forms to positive
@@ -764,24 +763,19 @@ class LambdaRat:
         if not num:
             scalar, out_facs = 1, {}
         num, scalar = _drop_content(num, scalar)
-        self.num, self.scalar, self.factors, self._den = num, scalar, out_facs, None
+        self.num, self.scalar, self.factors = num, scalar, out_facs
 
     @classmethod
-    def _normal(cls, num, scalar, factors, den=None):
-        """Wrap fields already in normal form, skipping the reductions;
-        ``den`` is the expanded denominator when the caller has it."""
+    def _normal(cls, num, scalar, factors):
+        """Wrap fields already in normal form, skipping the reductions."""
         out = cls.__new__(cls)
-        out.num, out.scalar, out.factors, out._den = num, scalar, factors, den
+        out.num, out.scalar, out.factors = num, scalar, factors
         return out
 
     @property
     def den(self):
-        """The expanded denominator scalar * prod p^e, multiplied out on
-        first read and cached."""
-        den = self._den
-        if den is None:
-            den = self._den = _expand_product(self.scalar, self.factors)
-        return den
+        """The expanded denominator scalar * prod p^e."""
+        return _expand_product(self.scalar, self.factors)
 
     @classmethod
     def from_int(cls, k):
@@ -833,9 +827,7 @@ class LambdaRat:
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaRat._normal(
-            poly_neg(self.num), self.scalar, self.factors, self._den
-        )
+        return LambdaRat._normal(poly_neg(self.num), self.scalar, self.factors)
 
     def __sub__(self, other):
         return self + (-other)
@@ -864,10 +856,7 @@ class LambdaRat:
         num, scalar = _drop_content(
             poly_scale(self.num, k.numerator), self.scalar * k.denominator
         )
-        den = self._den
-        if den is not None and scalar != self.scalar:
-            den = {m: c // self.scalar * scalar for m, c in den.items()}
-        return LambdaRat._normal(num, scalar, self.factors, den)
+        return LambdaRat._normal(num, scalar, self.factors)
 
     def inv(self):
         """The inverse of a unit, a value with a constant numerator."""

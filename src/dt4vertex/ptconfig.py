@@ -4,8 +4,7 @@ configurations.
 
 The paper's restriction to at most two non-empty legs is built in: with two
 legs every region-II weight space is 1-dimensional, so a box configuration
-is literally a set of weights.  Regions III and IV are classified for error
-reporting only.
+is literally a set of weights.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ OUTSIDE = "outside"
 I_PLUS = "I+"
 I_MINUS = "I-"
 II = "II"
-III = "III"
-IV = "IV"
 
-_REGION_BY_COUNT = {1: I_PLUS, 2: II, 3: III, 4: IV}
-_DIMENSION = {OUTSIDE: 0, I_PLUS: 0, I_MINUS: 1, II: 1, III: 2, IV: 3}
-_BOX_WEIGHT = {I_MINUS: 1, II: 1, III: 2, IV: 3}
+_REGION_BY_COUNT = {1: I_PLUS, 2: II}
+_DIMENSION = {OUTSIDE: 0, I_PLUS: 0, I_MINUS: 1, II: 1}
+_BOX_WEIGHT = {I_MINUS: 1, II: 1}
 
 
 class TooManyLegs(Exception):
@@ -118,7 +115,7 @@ def build_leg_module(lam, mu, nu, rho):
 
 
 class BoxConfig:
-    """A finite, gravity-closed set of weights in II u III u IV u I-."""
+    """A finite, gravity-closed set of weights in II u I-."""
 
     __slots__ = ("module", "boxes")
 

@@ -109,15 +109,6 @@ class SignAssignment:
             return self.default
         raise MissingSign(key)
 
-    def get(self, key, fallback=None):
-        try:
-            return self[key]
-        except MissingSign:
-            return fallback
-
-    def __contains__(self, key):
-        return key in self.mapping
-
     def __len__(self):
         return len(self.mapping)
 

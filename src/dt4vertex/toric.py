@@ -62,6 +62,7 @@ from .signsearch import (
     transport_dtpt,
 )
 from .vertexcalc import (
+    AXIS_WEIGHTS,
     dt_character,
     dt_vertex_root,
     dt_vertex_series,
@@ -74,8 +75,6 @@ from .vertexcalc import (
     substitution_forms,
 )
 from .partitions import enumerate_dt
-
-IDENTITY_COLS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class GeometryError(Exception):
@@ -103,10 +102,8 @@ class NoConsistentSigns(Exception):
 
 
 def _det4(cols):
-    from itertools import permutations
-
     total = 0
-    for perm in permutations(range(4)):
+    for perm in itertools.permutations(range(4)):
         sign = 1
         seen = list(perm)
         for i in range(4):
@@ -242,7 +239,7 @@ class ToricGeometry:
 
 
 def preset_c4():
-    return ToricGeometry("c4", [IDENTITY_COLS], [], nclasses=0)
+    return ToricGeometry("c4", [AXIS_WEIGHTS], [], nclasses=0)
 
 
 def preset_local_curve(l1=0, l2=-1, l3=-1):
@@ -258,14 +255,14 @@ def preset_local_curve(l1=0, l2=-1, l3=-1):
     )
     edge = EdgeSpec(0, 0, 1, 0, ((1, 1, l1), (2, 2, l2), (3, 3, l3)), cls=0)
     return ToricGeometry(
-        f"localcurve({l1},{l2},{l3})", [IDENTITY_COLS, chart1], [edge]
+        f"localcurve({l1},{l2},{l3})", [AXIS_WEIGHTS, chart1], [edge]
     )
 
 
 def preset_local_p2():
     """Tot_P2(O(-1) + O(-2)): three charts around the triangle of lines,
     each line with normal degrees (1, -1, -2)."""
-    chart0 = IDENTITY_COLS
+    chart0 = AXIS_WEIGHTS
     chart1 = ((0, -1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 1))
     chart2 = ((-1, 1, 0, 0), (-1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 0, 1))
     edges = [
@@ -280,7 +277,7 @@ def preset_local_p1p1():
     """Tot_{P1xP1}(O(-1,-1) + O(-1,-1)): four charts indexed by the
     vertices, rulings as the two curve classes."""
     charts = {
-        (0, 0): IDENTITY_COLS,
+        (0, 0): AXIS_WEIGHTS,
         (1, 0): ((-1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)),
         (0, 1): ((1, 0, 0, 0), (0, -1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)),
         (1, 1): ((-1, 0, 0, 0), (0, -1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1)),

@@ -48,7 +48,6 @@ from .ptconfig import LegModule, enumerate_boxconfigs
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 AXIS_WEIGHTS = (E1, E2, E3, E4)
-IDENTITY_SUBST = AXIS_WEIGHTS
 
 
 class TFixedObstruction(Exception):
@@ -383,7 +382,7 @@ class EdgeCharacter:
 
 
 def subst_key(subst):
-    if subst is None or tuple(map(tuple, subst)) == IDENTITY_SUBST:
+    if subst is None or tuple(map(tuple, subst)) == AXIS_WEIGHTS:
         return ""
     return "@[" + ";".join(",".join(map(str, col)) for col in subst) + "]"
 

@@ -3,17 +3,105 @@ import json
 
 import pytest
 
+from dt4vertex import cli, signsearch, vertexcalc
 from dt4vertex.cache import VertexCache
 from dt4vertex.cli import main, parse_legs
-from dt4vertex.partitions import PlanePartition
+from dt4vertex.exactalg import FactoredWeightProduct
+from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_dt
 from dt4vertex.toric import preset_local_p2
-from dt4vertex.vertexcalc import SQRT_CONVENTION
+from dt4vertex.vertexcalc import SQRT_CONVENTION, SqrtEuler
 
 
 def run(argv):
     buf = io.StringIO()
     rc = main(argv, out=buf)
     return rc, buf.getvalue()
+
+
+def plant(monkeypatch, module, name, hit):
+    """Scale by 2 each root that ``module.name`` returns at a fixed point
+    where ``hit`` holds."""
+    real = getattr(module, name)
+
+    def planted(point, subst=None, cache=None):
+        key, root = real(point, subst, cache)
+        if hit(point):
+            root = SqrtEuler(FactoredWeightProduct(1, 2) * root.value, root.parity)
+        return key, root
+
+    monkeypatch.setattr(module, name, planted)
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_json_does_not_carry_over(self):
+        argv = ["check", "nekrasov", "--order", "1"]
+        rc, doc = run(argv + ["--json"])
+        assert rc == 0 and json.loads(doc)["ok"] is True
+        rc, text = run(argv)
+        assert rc == 0 and text.startswith("check nekrasov: PASS\n")
+
+    def test_usage_error_and_help(self, capsys):
+        # argparse reports on stderr and stdout; main prints nothing itself
+        assert run(["check", "nekrasov", "--order", "1", "--bogus"]) == (2, "")
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run(["check", "nekrasov", "--bogus"]) == (2, "")
+        assert "required: --order" in capsys.readouterr().err
+        assert run(["check", "nekrasov", "--help"]) == (0, "")
+        assert capsys.readouterr().out.startswith("usage: dt4vertex check nekrasov ")
+
+
+class TestNoConsistentSigns:
+    """A sign solve without a solution fails the identity: whichever
+    command ran it prints one FAIL line and exits 1."""
+
+    GLOBAL = ["check", "global", "--geometry", "localp2", "--beta", "1", "--order", "3"]
+
+    def test_dtpt_chart(self, monkeypatch):
+        plant(monkeypatch, signsearch, "pt_vertex_root", lambda c: c.weighted_length() == 1)
+        assert run(self.GLOBAL) == (
+            1, "FAIL: no DT/PT signs on chart 0 for legs [],[[1]],[],[]\n")
+        rc, out = run(["check", "dtpt", "--legs", "[[1]],[],[],[]", "--order", "3"])
+        assert rc == 1 and "counterexample order: 1 (no consistent signs)\n" in out
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (GLOBAL, "FAIL: no Nekrasov signs on chart 0"),
+            (["check", "localcurve", "--dmax", "1", "--order", "3"],
+             "FAIL: no Nekrasov signs on chart 0"),
+            (["vertex", "--flavor", "dt", "--legs", "[],[],[],[]", "--order", "3",
+              "--sign-policy", "solve", "--no-cache"],
+             "FAIL: sign solving failed for the requested vertex"),
+        ],
+        ids=["global", "localcurve", "vertex"],
+    )
+    def test_nekrasov(self, monkeypatch, argv, line):
+        e = EMPTY_PP
+        point = next(sp for sp in enumerate_dt(e, e, e, e, 2) if sp.n_added() == 2).key()
+        plant(monkeypatch, signsearch, "dt_vertex_root", lambda sp: sp.key() == point)
+        assert run(argv) == (1, line + "\n")
+
+
+class TestGlobalMismatch:
+    def test_counterexample_and_residual(self, monkeypatch):
+        # PT roots scaled in the series alone: every chart solves its
+        # signs, and I_beta / I_0 differs from P_beta from q^3 on
+        plant(monkeypatch, vertexcalc, "pt_vertex_root", lambda c: c.weighted_length() == 1)
+        argv = ["check", "global", "--geometry", "localp2", "--beta", "1", "--order", "4"]
+        rc, out = run(argv)
+        assert rc == 1
+        lines = out.splitlines()
+        assert lines[0] == "check global localp2 beta=[1] N=4: FAIL"
+        assert lines[-2] == "counterexample order: 3"
+        assert lines[-1].startswith("residual: (")
+        rc, doc = run(argv + ["--json"])
+        data = json.loads(doc)
+        assert rc == 1 and data["ok"] is False
+        assert data["mismatch"]["order"] == 3
+        assert "residual: " + data["mismatch"]["residual"] == lines[-1]
 
 
 class TestParseLegs:

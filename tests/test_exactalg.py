@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dt4vertex import exactalg
 from dt4vertex.exactalg import (
     PRIME,
     SCREEN_PRIME,
@@ -706,7 +707,7 @@ class TestLambdaRat:
         assert summed().evaluate_mod((2, 3, 5), 101) == built.evaluate_mod((2, 3, 5), 101)
         assert_same(summed().inv(), built.inv())
         assert summed().inv().render() == "l1*l2"
-        # scale a value whose denominator is not yet expanded, and one whose is
+        # scale a value before and after its denominator was read
         third = Fraction(1, 3)
         expanded = summed()
         assert expanded.den == built.den
@@ -715,9 +716,12 @@ class TestLambdaRat:
             assert_same(y, built.scale(third))
             assert y.den == built.scale(third).den == {(1, 1, 0): 3}
 
-    def test_evaluate_mod_from_factors(self):
+    def test_evaluate_mod_from_factors(self, monkeypatch):
         # the value is num(pt) / den(pt) of the expanded polynomials, found
         # without expanding den, and None where a form vanishes mod p
+        def expanded(*args):
+            raise AssertionError("evaluate_mod expanded a denominator")
+
         def poly_at(p, point, mod):
             x, y, z = point
             return sum(c * x**a * y**b * z**e for (a, b, e), c in p.items()) % mod
@@ -728,14 +732,15 @@ class TestLambdaRat:
             v = random_lambdarat(rng) + random_lambdarat(rng)
             v = v.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             point = tuple(rng.randrange(mod) for _ in range(3))
-            got = v.evaluate_mod(point, mod)
-            assert v._den is None
+            with monkeypatch.context() as m:
+                m.setattr(exactalg, "_expand_product", expanded)
+                got = v.evaluate_mod(point, mod)
             want = poly_at(v.num, point, mod) * pow(poly_at(v.den, point, mod), -1, mod)
             assert got == want % mod
         v = random_lambdarat(rng) * inverse_form((1, 1, 0))
+        monkeypatch.setattr(exactalg, "_expand_product", expanded)
         assert v.evaluate_mod((3, mod - 3, 5), mod) is None
         assert v.evaluate_mod((3, 2 * mod - 3, 5), mod) is None
-        assert v._den is None
 
     def test_evaluate_all_mod_matches_one_by_one(self):
         rng = random.Random(31)
