@@ -237,8 +237,11 @@ def cmd_cache(args, out):
         return 0
     cache = VertexCache(args.cache_dir or None)
     if args.action == "list":
-        for key in cache.keys():
-            out.write(key + "\n")
+        if args.json:
+            out.write(json.dumps(cache.keys(), indent=2) + "\n")
+        else:
+            for key in cache.keys():
+                out.write(key + "\n")
     elif args.json:
         out.write(json.dumps(cache.stats(), indent=2, sort_keys=True) + "\n")
     else:

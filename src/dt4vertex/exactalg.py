@@ -13,11 +13,13 @@ Three layers, all exact (no floating point anywhere):
   Euler classes are.  A LambdaRat has one normal form, num / (scalar *
   prod p^e), so equal values are equal fields and render to equal text;
   it divides by units and, through ``FactoredWeightProduct``, by any
-  product of linear forms.  Numerators are dicts between operations; a sum
-  runs on packed integers (Kronecker substitution), one int per power of l2
-  in each homogeneous component, from the lift of its numerators to the
-  common denominator, through the exact trial divisions by the forms that
-  may cancel, to its quotient.
+  product of linear forms.  Numerators are held as packed integers
+  (Kronecker substitution, ``dt4vertex.packed``), one int per power of l2
+  in each homogeneous component, and a sum runs on them from the lift of
+  its numerators to the common denominator, through the exact trial
+  divisions by the forms that may cancel and the cancellation of integer
+  content, to its quotient; only rendering, products, substitutions and
+  evaluations unpack them.
 * ``QSeries`` -- truncated Laurent series in q with LambdaRat coefficients.
 
 Values do not change after construction.
@@ -25,8 +27,19 @@ Values do not change after construction.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
+
+from .packed import (
+    _cancel_forms,
+    _chunks,
+    _drop_content,
+    _lift,
+    _product_chunks,
+    _reslot,
+    _unchunk,
+)
 
 Weight = tuple  # 4-tuple of ints, the exponent vector of t^w
 Form = tuple    # 3-tuple of ints, the coefficients of c1*l1+c2*l2+c3*l3
@@ -195,9 +208,11 @@ def weight_form(w):
     return (w[0] - w[3], w[1] - w[3], w[2] - w[3])
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def canonical_form(f):
     """Split a nonzero form as sign * content * primitive, with the primitive
-    part having positive first nonzero coefficient."""
+    part having positive first nonzero coefficient.  Results are kept, so
+    equal forms share one primitive tuple in every factor dict."""
     g = gcd(gcd(abs(f[0]), abs(f[1])), abs(f[2]))
     lead = f[0] if f[0] else (f[1] if f[1] else f[2])
     sign = 1 if lead > 0 else -1
@@ -389,254 +404,6 @@ def poly_from_form(f):
     return out
 
 
-def poly_content(p):
-    g = 0
-    for c in p.values():
-        g = gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
-def poly_div_exact_int(p, k):
-    return {m: c // k for m, c in p.items()}
-
-
-def poly_lift_add(n1, forms1, n2, forms2):
-    """n1 * prod(forms1) + n2 * prod(forms2) for integer polynomials n1, n2
-    and lists of linear forms, on packed chunks (``_lift``)."""
-    return _unchunk(*_lift(((n1, 1, forms1), (n2, 1, forms2))))
-
-
-# ---------------------------------------------------------------------------
-# packed numerators: the lifts and trial divisions of a sum, on ints
-#
-# A numerator is packed as (comps, size): comps maps the degree t of each
-# nonzero homogeneous component to its chunks [n_0, ..., n_t].  With l3 set
-# to 1, the component is sum_b l2^b N_b(l1), and chunk n_b = N_b(2^w), w =
-# 8*size: slot a of n_b holds the coefficient of l1^a l2^b l3^(t-a-b) as a
-# signed digit, for a = 0..t-b.  ``_pack`` encodes, ``_unchunk`` decodes.
-# Every digit lies strictly between -2^(w-1) and 2^(w-1), so the t-b+1
-# slots of a chunk decode exactly.
-#
-# With D = c1*2^w + c3, the product by a form f = c1*l1 + c2*l2 + c3*l3 has
-# the t+2 chunks
-#
-#     n'_b = D*n_b + c2*n_(b-1)        for b = 0..t+1, n_(-1) = n_(t+1) = 0,
-#
-# the identity that ``_divide_chunks`` inverts.
-
-# the prime of the trial-division screen, below 2^30 so that reducing a
-# chunk modulo it is one pass over its digits.  2 generates its
-# multiplicative group, so 2^w is 1 modulo it only if its order 2^30 - 36
-# divides w (modulo 2^61 - 1 that happens whenever 61 divides w).
-SCREEN_PRIME = (1 << 30) - 35
-
-# the result of a division whose quotient needs wider slots
-_WIDER = object()
-
-
-def _lift(addends):
-    """The sum of k * n * prod(forms) over the triples (n, k, forms) of
-    ``addends``, packed as (comps, size) with its zero components dropped.
-    Each form multiplies the chunks of each component of k * n in turn.
-    2^(w-1) exceeds the sum of |k| * ||n||_1 * prod ||f||_1, which bounds
-    every digit of every product and of the sum, so its slots decode
-    exactly."""
-    addends = [a for a in addends if a[0]]
-    bound = 0
-    for n, k, forms in addends:
-        b = sum(map(abs, n.values())) * abs(k)
-        for f in forms:
-            b *= abs(f[0]) + abs(f[1]) + abs(f[2])
-        bound += b
-    size = (bound.bit_length() + 8) // 8  # bytes per slot, with a sign bit
-    w = 8 * size
-    total = {}
-    for n, k, forms in addends:
-        for t, ch in _pack(n, size).items():
-            if k != 1:
-                ch = [k * x for x in ch]
-            for c1, c2, c3 in forms:
-                d = (c1 << w) + c3
-                ch = [d * x + c2 * y for x, y in zip(ch + [0], [0] + ch)]
-            t += len(forms)
-            acc = total.get(t)
-            total[t] = ch if acc is None else [x + y for x, y in zip(acc, ch)]
-    return {t: ch for t, ch in total.items() if any(ch)}, size
-
-
-def _pack(p, size):
-    """The comps of the integer polynomial p packed in slots of ``size``
-    bytes: chunk n_b of degree t is the sum of k * 2^(w*a) over the terms
-    k * l1^a l2^b l3^(t-a-b) of p."""
-    w = 8 * size
-    out = {}
-    for (a, b, c), k in p.items():
-        t = a + b + c
-        ch = out.get(t)
-        if ch is None:
-            ch = out[t] = [0] * (t + 1)
-        ch[b] += k << (w * a)
-    return out
-
-
-def _chunks(p):
-    """The nonzero integer polynomial p packed (``_pack``) in the narrowest
-    byte-wide slots that hold its coefficients, as (comps, size)."""
-    size = (max(map(abs, p.values())).bit_length() + 8) // 8
-    return _pack(p, size), size
-
-
-def _unchunk(comps, size):
-    """The packed numerator as a polynomial: chunk n_b of t-b+1 slots plus
-    2^(w-1) in each slot has non-negative digits, which read off its bytes."""
-    w = 8 * size
-    half = 1 << (w - 1)
-    out = {}
-    for t, ch in comps.items():
-        low = int.from_bytes(half.to_bytes(size, "little") * (t + 1), "little")
-        for b, n in enumerate(ch):
-            slots = t - b + 1
-            data = memoryview((n + low).to_bytes(slots * size, "little"))
-            low >>= w
-            i = 0
-            for a in range(slots):
-                k = int.from_bytes(data[i:i + size], "little") - half
-                if k:
-                    out[a, b, t - a - b] = k
-                i += size
-    return out
-
-
-def _widen(comps, size):
-    """The same packed numerator in slots of twice the width."""
-    return _pack(_unchunk(comps, size), 2 * size), 2 * size
-
-
-def _screen_chunks(comps, size, forms):
-    """The forms of ``forms`` that can divide the packed numerator N.
-
-    A form f = c1*l1 + c2*l2 + c3*l3 with c2 != 0 is kept only if N vanishes
-    modulo SCREEN_PRIME at the point (beta, y, 1) of its plane, beta = 2^w:
-    the chunk residues r_b = n_b = N_b(beta) modulo the prime give
-    N(beta, y, 1) = sum_b r_b y^b, one Horner evaluation per form at
-    y = -(c1*beta + c3) / c2.  If f divides N, f vanishes there and so does
-    N, so a nonzero value proves that f does not divide N, nor any quotient
-    of N.  Forms with c2 = 0 are all kept: their division
-    (``_divide_chunks``) rejects top chunk first, the shortest first."""
-    P = SCREEN_PRIME
-    keep = []
-    res = None
-    for f in forms:
-        c1, c2, c3 = f
-        if c2:
-            if res is None:
-                beta = pow(2, 8 * size, P)
-                res = [0] * (max(comps) + 1)
-                for ch in comps.values():
-                    for b, n in enumerate(ch):
-                        res[b] += n % P
-                res.reverse()
-            y = -(c1 * beta + c3) * pow(c2, -1, P) % P
-            v = 0
-            for r in res:
-                v = (v * y + r) % P
-            if v:
-                continue
-        keep.append(f)
-    return keep
-
-
-def _divide_chunks(comps, size, form):
-    """The quotient of the packed numerator N by the primitive form f =
-    c1*l1 + c2*l2 + c3*l3 as chunks of the same size; None if f does not
-    divide N, and _WIDER if the quotient may need wider slots.
-
-    Each homogeneous component N, of degree t, is divided on its own.  If
-    N = f*Q, then Q has degree t-1, and its chunks q_b (q_t = q_{-1} = 0)
-    satisfy n_b = D*q_b + c2*q_{b-1} for b = 0..t, the product identity of
-    the layout.  For c2 != 0 they are solved from the top chunk down,
-    q_{b-1} = (n_b - D*q_b) / c2, and then n_0 = D*q_0 is checked; for c2 =
-    0, n_t = 0 is checked and each other chunk divided, q_b = n_b / D, top
-    chunk first.
-    A nonzero remainder or a failed check therefore proves that f does not
-    divide N.
-
-    If every remainder is zero and every check holds, the division is
-    proven by one more check on each q_b: with 2^k >= ||f||_1 = |c1| + |c2|
-    + |c3| and h = 2^(w-1-k), q_b plus h in each of its t-b slots must lie
-    in [0, 2^(w*(t-b))) with the top k bits of every slot clear, that is,
-    q_b = Q_b(2^w) for a polynomial Q_b of degree below t-b whose digits
-    lie in [-h, h).  The digits of (c1*x + c3)*Q_b(x) + c2*Q_{b-1}(x) are
-    then at most ||f||_1 * h <= 2^(w-1) in absolute value, those of N_b
-    below 2^(w-1), and both take the value n_b at x = 2^w.  Two integer
-    polynomials whose digits differ by less than 2^w and that agree at 2^w
-    are equal (the lowest digit of their difference would be a nonzero
-    multiple of 2^w), so N_b = (c1*x + c3)*Q_b + c2*Q_{b-1} for every b,
-    that is N = f*Q, with Q of degree t-1.  The digits of Q are below
-    2^(w-1) in absolute value again: at most 2^(w-2) if k >= 1, and those
-    of N if f is l1 or l2 (k = 0).  When some q_b fails this check but the
-    rest holds, the slots are widened and the division redone
-    (``_cancel_forms``).  That ends: if f does not divide N, then for c2
-    != 0 the identities imply R(2^w) = 0 for the nonzero polynomial R(x) =
-    c2^t * N(x, -(c1*x + c3)/c2, 1), and for c2 = 0 they imply that D
-    divides the nonzero remainder of c1^t * N_b by c1*x + c3, for some b.
-    Neither holds once 2^w is large enough.
-
-    For f = l3, N is divisible exactly when it has no monomial free of l3,
-    that is, when slot t-b of every chunk n_b is 0; the quotient's chunks
-    are those of N, without n_t."""
-    c1, c2, c3 = form
-    w = 8 * size
-    if not (c1 or c2):
-        for t, ch in comps.items():
-            low = 0  # 2^(w-1) in each of the t-b slots below the top one
-            for b in range(t, -1, -1):
-                if (ch[b] + low) >> (w * (t - b)):
-                    return None
-                low = low << w | 1 << (w - 1)
-        return {t - 1: ch[:-1] for t, ch in comps.items()}
-    d = (c1 << w) + c3
-    k = (abs(c1) + abs(c2) + abs(c3) - 1).bit_length()
-    h, top = 1 << (w - 1 - k), ((1 << k) - 1) << (w - k)
-    wider = False
-    out = {}
-    for t, ch in comps.items():
-        # the quotient's chunks from the top one down, q_b having t-b slots;
-        # for L slots, hs holds h in each and xs = -2^(w*L) + top in each,
-        # so (q + hs) & xs is 0 exactly when q is in the digit bound
-        qs = [0] * t
-        hs, xs = 0, -1
-        if c2:
-            q = 0
-            for b in range(t - 1, -1, -1):
-                q = ch[b + 1] - d * q
-                if c2 != 1:
-                    q, r = divmod(q, c2)
-                    if r:
-                        return None
-                hs, xs = hs << w | h, (xs << w) + top
-                if (q + hs) & xs:
-                    wider = True
-                qs[b] = q
-            if ch[0] != d * q:
-                return None
-        else:
-            if ch[t]:
-                return None
-            for b in range(t - 1, -1, -1):
-                q, r = divmod(ch[b], d)
-                if r:
-                    return None
-                hs, xs = hs << w | h, (xs << w) + top
-                if (q + hs) & xs:
-                    wider = True
-                qs[b] = q
-        out[t - 1] = qs
-    return _WIDER if wider else out
-
-
 def poly_substitute(p, forms):
     """p(forms[0], forms[1], forms[2]) for linear forms (c1, c2, c3), by
     Horner's rule in l1, then in l2 and l3 for each coefficient."""
@@ -678,53 +445,6 @@ def render_poly(p):
 # the rational function field in l1, l2, l3
 
 
-def _expand_product(c, factors):
-    """The polynomial c * prod p^e, lifted on packed chunks (``_lift``)."""
-    forms = [p for p, e in factors.items() for _ in range(e)]
-    return _unchunk(*_lift(((poly_const(c), 1, forms),)))
-
-
-def _cancel_forms(comps, size, factors, forms):
-    """Divide the packed numerator (comps, size) by each form p of
-    ``forms`` while exact, at most factors[p] times, and lower factors[p] in
-    place to the exponent left over, deleting it at 0.  Returns the
-    quotient as (comps, size), or None if no form divides.
-
-    Only the forms that ``_screen_chunks`` keeps are divided
-    (``_divide_chunks``), and a screen that rules a form out also rules it
-    out for every quotient, so the forms are screened again only after a
-    division succeeds.  A division that needs wider slots doubles them and
-    is redone."""
-    divided = False
-    while forms:
-        forms = _screen_chunks(comps, size, forms)
-        for i, p in enumerate(forms):
-            q = _divide_chunks(comps, size, p)
-            while q is _WIDER:
-                comps, size = _widen(comps, size)
-                q = _divide_chunks(comps, size, p)
-            if q is not None:
-                break
-        else:
-            break
-        comps, divided = q, True
-        if factors[p] > 1:
-            factors[p] -= 1
-            forms = forms[i:]
-        else:
-            del factors[p]
-            forms = forms[i + 1:]
-    return (comps, size) if divided else None
-
-
-def _drop_content(num, scalar):
-    """Cancel the integer content num and scalar share."""
-    g = gcd(poly_content(num), scalar)
-    if g > 1:
-        return poly_div_exact_int(num, g), scalar // g
-    return num, scalar
-
-
 class LambdaRat:
     """Exact rational function num / (scalar * prod p^e) in l1, l2, l3.
 
@@ -732,20 +452,25 @@ class LambdaRat:
     ``p`` a primitive linear form with positive first nonzero coefficient,
     the shape of every equivariant Euler class.  In the normal form no ``p``
     divides ``num`` and gcd(content(num), scalar) = 1; zero is 0 / 1.  The
-    form is unique, so equality compares fields and equal values render to
-    equal text.  ``den`` is the expanded denominator, multiplied out on
-    each read.  Division is by units (``inv``) or, for any product of
-    linear forms, by multiplying with ``(FactoredWeightProduct **
-    -1).expand()``.
+    form is unique, so equal values are equal and render to equal text.
+    Division is by units (``inv``) or, for any product of linear forms, by
+    multiplying with ``(FactoredWeightProduct ** -1).expand()``.
 
-    A sum lifts both numerators to the common denominator packed, one int
-    per power of l2 in each component (``_lift``), and divides those ints
-    exactly by the forms that may cancel and that a screen modulo
-    SCREEN_PRIME cannot rule out (``_cancel_forms``); the constructor runs
-    the same divisions on its numerator, packed (``_chunks``).
+    The numerator is held packed, as ``comps`` in slots of ``size`` bytes,
+    one int per power of l2 in each component, at the width the operation
+    that made it left.  A sum lifts both numerators to the common
+    denominator on those ints (``_lift``), divides them exactly by the
+    forms that may cancel and that a screen modulo SCREEN_PRIME cannot rule
+    out (``_cancel_forms``) and cancels the integer content on them
+    (``_drop_content``); negation, ``scale`` and ``FactoredWeightProduct.
+    expand`` stay packed too, and equality moves two numerators to one
+    width.  ``num`` (the polynomial, a dict) and ``den`` (the expanded
+    denominator) are unpacked on each read, for rendering, products,
+    substitutions and evaluations.  The constructor takes a polynomial,
+    packs it (``_chunks``) and runs the same reductions.
     """
 
-    __slots__ = ("num", "scalar", "factors")
+    __slots__ = ("comps", "size", "scalar", "factors")
 
     def __init__(self, num, scalar=1, factors=None):
         """``factors`` maps primitive positive-lead forms to positive
@@ -755,34 +480,40 @@ class LambdaRat:
             raise ValueError("scalar must be a positive int")
         out_facs = {p: factors[p] for p in sorted(factors or ()) if factors[p] > 0}
         num = {tuple(m): c for m, c in num.items() if c}
-        if num and out_facs:
+        if num:
             comps, size = _chunks(num)
-            cancelled = _cancel_forms(comps, size, out_facs, list(out_facs))
-            if cancelled:
-                num = _unchunk(*cancelled)
-        if not num:
-            scalar, out_facs = 1, {}
-        num, scalar = _drop_content(num, scalar)
-        self.num, self.scalar, self.factors = num, scalar, out_facs
+            if out_facs:
+                cancelled = _cancel_forms(comps, size, out_facs, list(out_facs))
+                comps, size = cancelled or (comps, size)
+            comps, size, scalar = _drop_content(comps, size, scalar)
+        else:
+            comps, size, scalar, out_facs = {}, 1, 1, {}
+        self.comps, self.size, self.scalar, self.factors = comps, size, scalar, out_facs
 
     @classmethod
-    def _normal(cls, num, scalar, factors):
-        """Wrap fields already in normal form, skipping the reductions."""
+    def _normal(cls, comps, size, scalar, factors):
+        """Wrap a packed numerator and fields already in normal form,
+        skipping the reductions."""
         out = cls.__new__(cls)
-        out.num, out.scalar, out.factors = num, scalar, factors
+        out.comps, out.size, out.scalar, out.factors = comps, size, scalar, factors
         return out
+
+    @property
+    def num(self):
+        """The numerator as a polynomial, unpacked."""
+        return _unchunk(self.comps, self.size)
 
     @property
     def den(self):
         """The expanded denominator scalar * prod p^e."""
-        return _expand_product(self.scalar, self.factors)
+        return _unchunk(*_product_chunks(self.scalar, self.factors))
 
     @classmethod
     def from_int(cls, k):
         return cls(poly_const(k))
 
     def is_zero(self):
-        return not self.num
+        return not self.comps
 
     # -- arithmetic
 
@@ -793,16 +524,15 @@ class LambdaRat:
         with the higher power, a product of factors prime to it.  So only
         the forms with equal exponents are trial-divided.
 
-        The sum stays packed from the lift to the final quotient: both
-        numerators are lifted and added as chunks, one int per power of l2
-        in each component (``_lift``), the shared forms are screened and
-        divided on those ints (``_cancel_forms``), and the quotient is
-        unpacked once."""
+        The sum stays packed throughout: both numerators are lifted and
+        added as chunks (``_lift``), the shared forms are screened and
+        divided on those ints (``_cancel_forms``), and the content shared
+        with the scalar is cancelled on them (``_drop_content``)."""
         if isinstance(other, int):
             other = LambdaRat.from_int(other)
-        if not self.num:
+        if not self.comps:
             return other
-        if not other.num:
+        if not other.comps:
             return self
         s1, f1 = self.scalar, self.factors
         s2, f2 = other.scalar, other.factors
@@ -816,18 +546,21 @@ class LambdaRat:
             lf[p] = max(e1, e2)
             if e1 == e2:
                 shared.append(p)
-        comps, size = _lift(((self.num, s2 // g, lift1), (other.num, s1 // g, lift2)))
+        comps, size = _lift((
+            (self.comps, self.size, s2 // g, lift1),
+            (other.comps, other.size, s1 // g, lift2),
+        ))
         if not comps:
             return LambdaRat.from_int(0)
         if shared:
             comps, size = _cancel_forms(comps, size, lf, shared) or (comps, size)
-        num, scalar = _drop_content(_unchunk(comps, size), s1 // g * s2)
-        return LambdaRat._normal(num, scalar, lf)
+        return LambdaRat._normal(*_drop_content(comps, size, s1 // g * s2), lf)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaRat._normal(poly_neg(self.num), self.scalar, self.factors)
+        comps = {t: [-n for n in ch] for t, ch in self.comps.items()}
+        return LambdaRat._normal(comps, self.size, self.scalar, self.factors)
 
     def __sub__(self, other):
         return self + (-other)
@@ -851,19 +584,24 @@ class LambdaRat:
         """Multiply by a rational constant; no factor can start dividing the
         numerator, so only the integer content is reduced."""
         k = Fraction(k)
-        if k == 0 or not self.num:
+        if k == 0 or not self.comps:
             return LambdaRat.from_int(0)
-        num, scalar = _drop_content(
-            poly_scale(self.num, k.numerator), self.scalar * k.denominator
+        if k == 1:
+            return self
+        if k == -1:
+            return -self
+        comps, size = _lift(((self.comps, self.size, k.numerator, ()),))
+        return LambdaRat._normal(
+            *_drop_content(comps, size, self.scalar * k.denominator), self.factors
         )
-        return LambdaRat._normal(num, scalar, self.factors)
 
     def inv(self):
         """The inverse of a unit, a value with a constant numerator."""
-        if not self.num:
+        if not self.comps:
             raise ZeroDivisionError("inverse of zero rational function")
-        c = self.num.get((0, 0, 0))
-        if c is None or len(self.num) != 1:
+        num = self.num
+        c = num.get((0, 0, 0))
+        if c is None or len(num) != 1:
             raise DivisionNotUnit(f"{self.render()} is not a unit")
         return LambdaRat(poly_scale(self.den, 1 if c > 0 else -1), abs(c))
 
@@ -885,14 +623,21 @@ class LambdaRat:
         return out
 
     def __eq__(self, other):
+        """Equal fields, the numerators compared at the wider of their two
+        widths (``_reslot``)."""
         if isinstance(other, int):
             other = LambdaRat.from_int(other)
         if not isinstance(other, LambdaRat):
             return NotImplemented
-        return (
-            self.num == other.num
-            and self.scalar == other.scalar
-            and self.factors == other.factors
+        if (
+            self.scalar != other.scalar
+            or self.factors != other.factors
+            or self.comps.keys() != other.comps.keys()
+        ):
+            return False
+        size = max(self.size, other.size)
+        return _reslot(self.comps, self.size, size) == _reslot(
+            other.comps, other.size, size
         )
 
     __hash__ = None
@@ -913,7 +658,7 @@ class LambdaRat:
         return evaluate_all_mod([self], [point], mod)[0][0]
 
     def render(self):
-        if not self.num:
+        if not self.comps:
             return "0"
         if self.scalar == 1 and not self.factors:
             return render_poly(self.num)
@@ -1078,7 +823,7 @@ class FactoredWeightProduct:
 
     def mul_form(self, f, exp=1):
         """Multiply by an arbitrary nonzero integer linear form to a power."""
-        s, g, p = canonical_form(f)
+        s, g, p = canonical_form(tuple(f))
         factors = dict(self.factors)
         factors[p] = factors.get(p, 0) + exp
         if not factors[p]:
@@ -1114,10 +859,10 @@ class FactoredWeightProduct:
             return LambdaRat.from_int(0)
         pos = {f: e for f, e in self.factors.items() if e > 0}
         neg = {f: -e for f, e in self.factors.items() if e < 0}
-        num = _expand_product(self.sign * self.scalar.numerator, pos)
+        comps, size = _product_chunks(self.sign * self.scalar.numerator, pos)
         # distinct primitive forms are coprime and the Fraction is reduced,
         # so the quotient is already in normal form
-        return LambdaRat._normal(num, self.scalar.denominator, neg)
+        return LambdaRat._normal(comps, size, self.scalar.denominator, neg)
 
     def __eq__(self, other):
         return (

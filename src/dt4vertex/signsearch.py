@@ -629,15 +629,21 @@ def solve_dtpt(legs, trunc, cache=None):
     The representative R of the S4 orbit of ``legs`` is solved by
     ``solve_dtpt_direct`` and its solve transported to ``legs`` by
     ``transport_dtpt``; the result equals a direct solve of ``legs`` field
-    by field.  Without a cache, the solves of representatives are kept in
-    process, as the root memo keeps roots, so each orbit is solved once."""
+    by field.  Without a cache, the solves of representatives and the
+    transported solves are kept in process, as the root memo keeps roots,
+    so each orbit is solved once and each leg set transported once.  No
+    caller changes a solve it is given."""
     LegModule(legs)  # rejects malformed legs before their orbit is formed
-    rep, p = orbit_representative(legs)
+    legs = tuple(legs)
     if cache is not None:
-        solve = solve_dtpt_direct(rep, trunc, cache)
-    elif (solve := _DTPT_MEMO.get((rep, trunc))) is None:
-        solve = _DTPT_MEMO[rep, trunc] = solve_dtpt_direct(rep, trunc)
-    return transport_dtpt(solve, p, legs)
+        rep, p = orbit_representative(legs)
+        return transport_dtpt(solve_dtpt_direct(rep, trunc, cache), p, legs)
+    if (solve := _DTPT_MEMO.get((legs, trunc))) is None:
+        rep, p = orbit_representative(legs)
+        if (rep_solve := _DTPT_MEMO.get((rep, trunc))) is None:
+            rep_solve = _DTPT_MEMO[rep, trunc] = solve_dtpt_direct(rep, trunc)
+        solve = _DTPT_MEMO[legs, trunc] = transport_dtpt(rep_solve, p, legs)
+    return solve
 
 
 def solve_dtpt_direct(legs, trunc, cache=None):
@@ -721,9 +727,9 @@ def solve_dtpt_direct(legs, trunc, cache=None):
 AXIS_PERMUTATIONS = tuple(itertools.permutations(range(4)))
 IDENTITY_PERMUTATION = AXIS_PERMUTATIONS[0]
 
-# the solves of orbit representatives, (legs, trunc) -> DtptSolve; like the
-# root memo ``vertexcalc._MEMO`` it lives in process and serves only runs
-# without a cache
+# the solves of orbit representatives and of the leg sets transported from
+# them, (legs, trunc) -> DtptSolve; like the root memo ``vertexcalc._MEMO``
+# it lives in process and serves only runs without a cache
 _DTPT_MEMO = {}
 
 

@@ -477,6 +477,18 @@ class TestCacheCommand:
         rc, listing = run(["cache", "list", "--cache-dir", cdir])
         assert listing.strip() == ""
 
+    def test_list_json(self, tmp_path):
+        cdir = str(tmp_path / "cache")
+        rc, out = run(["cache", "list", "--json", "--cache-dir", cdir])
+        assert rc == 0 and json.loads(out) == []
+        run(["vertex", "--flavor", "dt", "--legs", "[[1]],[],[],[]",
+             "--order", "2", "--use-cache", "--cache-dir", cdir])
+        rc, out = run(["cache", "list", "--json", "--cache-dir", cdir])
+        _, plain = run(["cache", "list", "--cache-dir", cdir])
+        keys = json.loads(out)
+        assert rc == 0 and keys and keys == plain.splitlines()
+        assert keys == VertexCache(cdir).keys()
+
     def test_cold_warm_identical(self, tmp_path):
         cdir = str(tmp_path / "cache")
         args = ["vertex", "--flavor", "pt", "--legs", "[[1]],[[1]],[],[]",

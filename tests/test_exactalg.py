@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dt4vertex import exactalg
+from dt4vertex import exactalg, packed
 from dt4vertex.exactalg import (
     PRIME,
-    SCREEN_PRIME,
     DivisionNotUnit,
     FactoredWeightProduct,
     LambdaRat,
@@ -21,7 +20,6 @@ from dt4vertex.exactalg import (
     lambdarat_sum,
     poly_add,
     poly_from_form,
-    poly_lift_add,
     poly_linear_mul,
     poly_mul,
     poly_neg,
@@ -30,16 +28,20 @@ from dt4vertex.exactalg import (
     qexp,
     weight_form,
 )
-from dt4vertex.exactalg import (
+from dt4vertex.packed import (
+    SCREEN_PRIME,
     _WIDER,
     _cancel_forms,
     _chunks,
     _divide_chunks,
-    _expand_product,
+    _drop_content,
     _lift,
+    _narrowest,
+    _pack,
+    _product_chunks,
+    _reslot,
     _screen_chunks,
     _unchunk,
-    _widen,
 )
 from dt4vertex.partitions import enumerate_pointlike
 from dt4vertex.toric import load_geometry
@@ -217,7 +219,7 @@ def packed_div(p, f):
     comps, size = _chunks(p)
     q = _divide_chunks(comps, size, f)
     while q is _WIDER:
-        comps, size = _widen(comps, size)
+        comps, size = _reslot(comps, size, 2 * size), 2 * size
         q = _divide_chunks(comps, size, f)
     return None if q is None else _unchunk(q, size)
 
@@ -262,6 +264,17 @@ def lift_chain(p, forms):
 
 def lift_add_reference(n1, forms1, n2, forms2):
     return poly_add(lift_chain(n1, forms1), lift_chain(n2, forms2))
+
+
+def pack_narrowest(p):
+    """A polynomial packed at its narrowest width; zero is ({}, 1)."""
+    return _chunks(p) if p else ({}, 1)
+
+
+def poly_lift_add(n1, forms1, n2, forms2):
+    """n1 * prod(forms1) + n2 * prod(forms2) for integer polynomials n1, n2
+    and lists of linear forms, through the packed ``_lift``."""
+    return _unchunk(*_lift(((*pack_narrowest(n1), 1, forms1), (*pack_narrowest(n2), 1, forms2))))
 
 
 # forms with zero and negative coefficients and a non-unit lead
@@ -354,9 +367,15 @@ class TestChunkLift:
                  [rng.choice(LIFT_BRANCH_FORMS) for _ in range(rng.randint(0, 5))])
                 for _ in range(rng.randint(1, 3))
             ]
-            comps, size = _lift(addends)
+            comps, size = _lift([(*pack_narrowest(n), k, forms) for n, k, forms in addends])
             assert _unchunk(comps, size) == lift_reference(addends)
             assert all(any(ch) and len(ch) == t + 1 for t, ch in comps.items())
+            # addends held wider than their narrowest width lift alike
+            wide = []
+            for n, k, forms in addends:
+                c, s = pack_narrowest(n)
+                wide.append((_reslot(c, s, s + 2), s + 2, k, forms))
+            assert _lift(wide) == (comps, size)
 
     @pytest.mark.parametrize("k", [-3, 2, 10**20])
     def test_cancelling_components_are_dropped(self, k):
@@ -367,13 +386,13 @@ class TestChunkLift:
             g = [rng.choice(LIFT_BRANCH_FORMS) for _ in range(rng.randint(0, 3))]
             # k*(n*f)*g - k*(n*g)*f is zero in every component
             whole = ((lift_chain(n, f), k, g), (poly_neg(lift_chain(n, g)), k, f))
-            assert _lift(whole)[0] == {}
+            assert _lift([(*pack_narrowest(n), k, f) for n, k, f in whole])[0] == {}
             # cancelling one component of n leaves the others
             if not n:
                 continue
             t = rng.choice(sorted({sum(m) for m in n}))
             part = ((n, k, f), (poly_neg(homogeneous_part(n, t)), k, f))
-            comps, size = _lift(part)
+            comps, size = _lift([(*pack_narrowest(n), k, f) for n, k, f in part])
             assert t + len(f) not in comps
             assert _unchunk(comps, size) == lift_reference(part)
 
@@ -540,8 +559,9 @@ class TestPackedDivision:
                 q = {(1, 0, 1): c, (0, 2, 0): -c, (0, 0, 2): 1}
                 p = poly_linear_mul(q, f)
                 assert packed_div(p, f) == q
-                assert _unchunk(*_chunks(p)) == p
-                assert _unchunk(*_widen(*_chunks(p))) == p
+                comps, size_p = _chunks(p)
+                assert _unchunk(comps, size_p) == p
+                assert _unchunk(_reslot(comps, size_p, 2 * size_p), 2 * size_p) == p
         # the widest coefficient of a size decides the size, one bit more does not fit
         assert _chunks({(1, 1, 0): top})[1] == size
         assert _chunks({(1, 1, 0): -top - 1})[1] == size + 1
@@ -602,12 +622,12 @@ class TestPackedDivision:
 
     def test_expand_product_is_the_chain(self):
         rng = random.Random(151)
-        assert _expand_product(5, {}) == {(0, 0, 0): 5}
+        assert _unchunk(*_product_chunks(5, {})) == {(0, 0, 0): 5}
         for _ in range(100):
             factors = {f: rng.randint(1, 4) for f in rng.sample(DIV_FORMS, rng.randint(1, 5))}
             c = rng.choice([1, -1, 3, 10**12])
             chain = poly_const_chain(c, factors)
-            assert _expand_product(c, factors) == chain
+            assert _unchunk(*_product_chunks(c, factors)) == chain
 
 
 def poly_const_chain(c, factors):
@@ -733,12 +753,12 @@ class TestLambdaRat:
             v = v.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             point = tuple(rng.randrange(mod) for _ in range(3))
             with monkeypatch.context() as m:
-                m.setattr(exactalg, "_expand_product", expanded)
+                m.setattr(exactalg, "_product_chunks", expanded)
                 got = v.evaluate_mod(point, mod)
             want = poly_at(v.num, point, mod) * pow(poly_at(v.den, point, mod), -1, mod)
             assert got == want % mod
         v = random_lambdarat(rng) * inverse_form((1, 1, 0))
-        monkeypatch.setattr(exactalg, "_expand_product", expanded)
+        monkeypatch.setattr(exactalg, "_product_chunks", expanded)
         assert v.evaluate_mod((3, mod - 3, 5), mod) is None
         assert v.evaluate_mod((3, 2 * mod - 3, 5), mod) is None
 
@@ -809,6 +829,178 @@ class TestLambdaRat:
         assert f.sign == -1
         assert f.scalar == 2
         assert f.factors == {(1, 0, -1): 1}
+
+
+def poly_content(p):
+    return math.gcd(*p.values())
+
+
+def drop_content_reference(num, scalar):
+    """Dict oracle of ``_drop_content``: the polynomial and the scalar over
+    their common integer content."""
+    g = math.gcd(poly_content(num), scalar)
+    return {m: c // g for m, c in num.items()}, scalar // g
+
+
+def narrowest_reference(p):
+    """The fewest bytes s with every coefficient of p in [-2^(8s-1),
+    2^(8s-1))."""
+    s = 1
+    while not all(-(1 << (8 * s - 1)) <= c < 1 << (8 * s - 1) for c in p.values()):
+        s += 1
+    return s
+
+
+class TestPackedNumerators:
+    def test_sum_orders_agree(self):
+        # the balanced tree, a left fold and a shuffled tree leave their
+        # numerators at different widths, yet give equal fields and text
+        rng = random.Random(157)
+        roots = [dt_vertex_root(sp)[1] for n in range(4) for sp in enumerate_pointlike(n)]
+        for n in range(2, 16):
+            terms = [
+                random_lambdarat(rng).scale(Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+                for _ in range(n)
+            ]
+            terms += [r.expand().scale(rng.choice([1, -1])) for r in rng.sample(roots, 4)]
+            tree = lambdarat_sum(terms)
+            fold = LambdaRat.from_int(0)
+            for t in terms:
+                fold = fold + t
+            shuffled = terms[:]
+            rng.shuffle(shuffled)
+            for other in (fold, lambdarat_sum(shuffled)):
+                assert_same(tree, other)
+                assert (tree.num, tree.scalar, tree.factors) == (
+                    other.num, other.scalar, other.factors
+                )
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 8])
+    def test_extreme_digits_pass_exactly(self, s):
+        top = (1 << (8 * s - 1)) - 1
+        num = {(2, 0, 0): top, (1, 1, 0): -top, (0, 1, 1): top, (0, 0, 2): -1}
+        facs = {(1, 1, 0): 1}
+        x = LambdaRat(num, 1, facs)
+        assert (x.num, x.size, _narrowest(x.comps, x.size)) == (num, s, s)
+        for neg in (-x, x.scale(-1), x.scale(Fraction(-2, 2))):
+            assert (neg.num, neg.size) == (poly_neg(num), s)
+            assert_same(-neg, x)
+        assert (x + x).num == poly_scale(num, 2)
+        assert (x - x).is_zero()
+        assert_same((x + x) - x, x)
+        assert_same(lambdarat_sum([x, -x, x.scale(-1), x, x]), x)
+        # a content of 2 shared with the scalar cancels in the sum
+        half = LambdaRat(num, 2, facs)
+        assert_same(half + half, x)
+        assert (half + half).num == num
+
+    def test_reslot_round_trip(self):
+        rng = random.Random(163)
+        for _ in range(150):
+            p = random_poly(rng, rng.randint(1, 12), coeff=rng.choice([1, 127, 128, 10**6, 10**30]))
+            if not p:
+                continue
+            comps, size = _chunks(p)
+            s = narrowest_reference(p)
+            assert _narrowest(comps, size) == s <= size
+            for new in (size + 1, size + 3, 2 * size):
+                wide = _reslot(comps, size, new)
+                assert _unchunk(wide, new) == p
+                assert _narrowest(wide, new) == s
+                assert _reslot(wide, new, size) == comps
+                narrow = _reslot(wide, new, s + 1)
+                assert _unchunk(narrow, s + 1) == p
+                assert _reslot(narrow, s + 1, new) == wide
+
+    def test_drop_content_matches_dict_oracle(self):
+        # odd primes below and above 2^16, and products of two primes above
+        # 2^16, the largest past 2^32
+        big = [65537, 2**31 - 1, 65537 * 65539, (2**31 - 1) ** 2]
+        rng = random.Random(167)
+        cancelled = 0
+        for _ in range(400):
+            q = random_poly(rng, rng.randint(1, 10), coeff=rng.choice([1, 9, 10**20]))
+            if not q:
+                continue
+            c = rng.choice([1, 2, 3, 5, 9, 16, 27, 45, *big])
+            num = poly_scale(q, c * rng.choice([1, -1]))
+            scalar = rng.choice([1, 2, 3, 4, 6, 9, 12, 24, 120, 720, 3**7, 2**20, *big])
+            scalar *= rng.choice([1, c, 3])
+            want = drop_content_reference(num, scalar)
+            cancelled += want[1] < scalar
+            comps, size = _chunks(num)
+            for width in (size, size + 1, 2 * size + 1):
+                got, got_size, got_scalar = _drop_content(
+                    _reslot(comps, size, width), width, scalar
+                )
+                assert (_unchunk(got, got_size), got_scalar) == want
+        assert cancelled > 100
+        # both primes of 65537 * 65539 divide every chunk of 65537 * (l1 + c*l3)
+        # at 5-byte slots, but only 65537 divides its content
+        size = 5
+        c = -pow(2, 8 * size, 65539)
+        num = {(1, 0, 0): 65537, (0, 0, 1): 65537 * c}
+        comps = _pack(num, size)
+        assert all(n % (65537 * 65539) == 0 for ch in comps.values() for n in ch)
+        got, got_size, got_scalar = _drop_content(comps, size, 65537 * 65539)
+        assert (_unchunk(got, got_size), got_scalar) == ({(1, 0, 0): 1, (0, 0, 1): c}, 65539)
+
+    def test_planted_content_of_three_cancels(self):
+        rng = random.Random(173)
+        for _ in range(40):
+            q = random_poly(rng, rng.randint(1, 8))
+            if not q or poly_content(q) % 3 == 0:
+                continue
+            for c, scalar in ((3, 3), (9, 3), (3, 9), (9, 27), (6, 12), (3, 6)):
+                x = LambdaRat(poly_scale(q, c), scalar)
+                g = math.gcd(c * poly_content(q), scalar)
+                assert (x.num, x.scalar) == ({m: v * c // g for m, v in q.items()}, scalar // g)
+                assert math.gcd(poly_content(x.num), x.scalar) == 1
+            # and in a sum: q/6 + q/6 + q/6 = q/2
+            third = LambdaRat(q, 6)
+            assert_same(lambdarat_sum([third] * 3), LambdaRat(q, 2))
+
+    def test_content_prime_to_three_survives(self):
+        # l1^3*l3 - l1*l3^3 vanishes at every point of F_3^3, and with l1 =
+        # 2^w every chunk is divisible by 3, yet its content is 1: 3 must
+        # not cancel against the scalar
+        num = {(3, 0, 1): 1, (1, 0, 3): -1}
+        assert all(
+            sum(c * x**a * y**b * z**e for (a, b, e), c in num.items()) % 3 == 0
+            for x in range(3) for y in range(3) for z in range(3)
+        )
+        comps, size = _chunks(num)
+        assert all(n % 3 == 0 for ch in comps.values() for n in ch)
+        x = LambdaRat(num, 3)
+        assert (x.num, x.scalar) == (num, 3)
+        assert x.render() == "(l1^3*l3 - l1*l3^3) / (3)"
+        y = LambdaRat({(3, 0, 1): 1}, 3) + LambdaRat({(1, 0, 3): -2}, 3)
+        assert_same(y + LambdaRat({(1, 0, 3): 1}, 3), x)
+        assert_same(x.scale(3), LambdaRat(num))
+        assert_same(x.scale(Fraction(3, 5)), LambdaRat(num, 5))
+
+    def test_sums_of_expanded_roots_never_unpack(self, monkeypatch):
+        # the expansions and every sum stay packed: no numerator is decoded
+        # (_unchunk) or encoded from a dict (_pack) between them
+        rng = random.Random(179)
+        roots = [dt_vertex_root(sp)[1] for n in range(6) for sp in enumerate_pointlike(n)]
+        calls = []
+        for module in (exactalg, packed):
+            for name in ("_unchunk", "_pack"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(
+                        module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+                    )
+        total = lambdarat_sum(r.value.expand().scale(rng.choice([1, -1])) for r in roots)
+        parts = [lambdarat_sum(r.value.expand() for r in roots[i::3]) for i in range(3)]
+        assert calls == []
+        monkeypatch.undo()
+        fold = LambdaRat.from_int(0)
+        for p in parts:
+            fold = fold + p
+        assert_same(lambdarat_sum(parts), fold)
+        assert not total.is_zero()
 
 
 class TestQSeries:

@@ -555,3 +555,28 @@ class TestOrbitTransport:
             assert check_dtpt(*L, 3).ok
         assert len(solved) == 4
         assert all(orbit_representative(L)[0] == L for L in solved)
+
+    def test_memo_hit_equals_direct_solve(self, monkeypatch):
+        # a leg set that is not its orbit's representative is transported
+        # once; the next call returns the kept solve and transports nothing
+        legs = (E, BOX, E, E)
+        assert orbit_representative(legs)[0] != legs
+        first = solve_dtpt(list(legs), 3)
+        moved = []
+        real = signsearch.transport_dtpt
+
+        def counted(solve, p, L):
+            moved.append(L)
+            return real(solve, p, L)
+
+        monkeypatch.setattr(signsearch, "transport_dtpt", counted)
+        hit = solve_dtpt(legs, 3)
+        assert hit is first and moved == []
+        want = solve_dtpt_direct(legs, 3)
+        assert (hit.legs, hit.trunc, hit.lowest, hit.prefix) == (
+            want.legs, want.trunc, want.lowest, want.prefix
+        )
+        assert len(hit.orders) == len(want.orders)
+        for a, b in zip(hit.orders, want.orders):
+            for name in ("order", "keys", "roots", "n_dt", "free", "solutions", "rhs"):
+                assert getattr(a, name) == getattr(b, name), (a.order, name)
