@@ -16,7 +16,7 @@ import json
 import os
 import zlib
 
-from .vertexcalc import SQRT_CONVENTION
+from .vertexcalc import SQRT_CONVENTION, SqrtEuler
 
 FORMAT = "dt4vertex-cache"
 VERSION = 2
@@ -54,18 +54,22 @@ def _checksum(key, root):
 
 
 class VertexCache:
-    """In-memory vertex store persisted as JSONL, one append per new record.
+    """The root store of ``vertexcalc.RootStore`` persisted as JSONL, one
+    append per new root; its ``solves`` live as long as it does.
 
-    An append that was cut short leaves a last line without its newline.
-    Loading skips that line, and the next append cuts it away first.  Any
-    other malformed line, a record whose CRC-32 does not match its key and
-    root, and a header of another format, version or square-root convention
-    raise ValueError, which names the file.
+    Loading checks each record against its CRC-32 and decodes its root
+    once.  An append that was cut short leaves a last line without its
+    newline.  Loading skips that line, and the next append cuts it away
+    first.  Any other malformed line, a record whose CRC-32 does not match
+    its key and root, a root that does not decode, and a header of another
+    format, version or square-root convention raise ValueError, which names
+    the file.
     """
 
     def __init__(self, directory=None):
         self.directory = directory if directory is not None else default_cache_dir()
-        self._data = {}
+        self._roots = {}
+        self.solves = {}
         self._torn_at = None  # byte offset of a torn last line, if any
         self.hits = 0
         self.misses = 0
@@ -106,10 +110,11 @@ class VertexCache:
                     break
                 if line.strip():
                     key, root = self._record(line, n)
-                    self._data[key] = {"key": key, "root": root}
+                    self._roots[key] = root
 
     def _record(self, line, n):
-        """(key, root) of the record on line n, checked against its CRC-32."""
+        """(key, root) of the record on line n, checked against its CRC-32
+        and decoded."""
         try:
             rec = json.loads(line)
             key, root, crc = rec["key"], rec["root"], rec["crc32"]
@@ -117,11 +122,20 @@ class VertexCache:
             raise ValueError(f"malformed record on line {n} of cache file {self.path}") from None
         if crc != _checksum(key, root):
             raise ValueError(f"damaged record {key!r} in cache file {self.path}: CRC-32 mismatch")
+        try:
+            root = SqrtEuler.from_json(root)
+            # euler_sqrt writes a parity of 0 or 1 and integer exponents
+            exponents = root.value.factors.values()
+            if root.parity not in (0, 1) or any(type(e) is not int for e in exponents):
+                raise ValueError
+        except (KeyError, TypeError, IndexError, ZeroDivisionError, ValueError):
+            raise ValueError(f"malformed root {key!r} in cache file {self.path}") from None
         return key, root
 
-    def _append(self, record):
+    def _append(self, key, root):
         os.makedirs(self.directory, exist_ok=True)
-        record = dict(record, crc32=_checksum(record["key"], record["root"]))
+        root = root.to_json()
+        record = {"key": key, "root": root, "crc32": _checksum(key, root)}
         with open(self.path, "ab") as fh:
             if self._torn_at is not None:
                 fh.truncate(self._torn_at)
@@ -132,25 +146,24 @@ class VertexCache:
             fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
 
     def get(self, key):
-        rec = self._data.get(key)
-        if rec is None:
+        root = self._roots.get(key)
+        if root is None:
             self.misses += 1
         else:
             self.hits += 1
-        return rec
+        return root
 
-    def put(self, key, record):
-        """Store ``record``, a dict of the ``key`` and its ``root``."""
-        if key in self._data:
+    def put(self, key, root):
+        if key in self._roots:
             return
-        self._data[key] = record
-        self._append(record)
+        self._roots[key] = root
+        self._append(key, root)
 
     def keys(self):
-        return sorted(self._data)
+        return sorted(self._roots)
 
     def __len__(self):
-        return len(self._data)
+        return len(self._roots)
 
     def stats(self):
-        return {"directory": self.directory, "entries": len(self._data)}
+        return {"directory": self.directory, "entries": len(self._roots)}

@@ -69,6 +69,7 @@ from .partitions import EMPTY_PP, SolidPartition, enumerate_dt
 from .ptconfig import BoxConfig, LegModule, enumerate_boxconfigs
 from .vertexcalc import (
     AXIS_WEIGHTS,
+    MEMORY,
     dt_vertex_root,
     pt_vertex_root,
     relabel_root,
@@ -629,26 +630,25 @@ def solve_dtpt(legs, trunc, cache=None):
     The representative R of the S4 orbit of ``legs`` is solved by
     ``solve_dtpt_direct`` and its solve transported to ``legs`` by
     ``transport_dtpt``; the result equals a direct solve of ``legs`` field
-    by field.  Without a cache, the solves of representatives and the
-    transported solves are kept in process, as the root memo keeps roots,
-    so each orbit is solved once and each leg set transported once.  No
-    caller changes a solve it is given."""
+    by field.  The solves of representatives and the transported solves
+    are kept in the ``solves`` of the root store, ``cache`` or else
+    ``vertexcalc.MEMORY``, beside the roots they are built from, so each
+    orbit is solved once and each leg set transported once while the store
+    lives.  No caller changes a solve it is given."""
     LegModule(legs)  # rejects malformed legs before their orbit is formed
     legs = tuple(legs)
-    if cache is not None:
+    solves = (MEMORY if cache is None else cache).solves
+    if (solve := solves.get((legs, trunc))) is None:
         rep, p = orbit_representative(legs)
-        return transport_dtpt(solve_dtpt_direct(rep, trunc, cache), p, legs)
-    if (solve := _DTPT_MEMO.get((legs, trunc))) is None:
-        rep, p = orbit_representative(legs)
-        if (rep_solve := _DTPT_MEMO.get((rep, trunc))) is None:
-            rep_solve = _DTPT_MEMO[rep, trunc] = solve_dtpt_direct(rep, trunc)
-        solve = _DTPT_MEMO[legs, trunc] = transport_dtpt(rep_solve, p, legs)
+        if (rep_solve := solves.get((rep, trunc))) is None:
+            rep_solve = solves[rep, trunc] = solve_dtpt_direct(rep, trunc, cache)
+        solve = solves[legs, trunc] = transport_dtpt(rep_solve, p, legs)
     return solve
 
 
 def solve_dtpt_direct(legs, trunc, cache=None):
     """The solve of ``solve_dtpt`` for ``legs`` themselves, with no orbit
-    representative and no memo.
+    representative and no kept solve.
 
     Each branch is a solution through the previous order; its children, in
     order, extend it by the sorted solutions of the next order.  The solve
@@ -726,11 +726,6 @@ def solve_dtpt_direct(legs, trunc, cache=None):
 # to axis p[i]
 AXIS_PERMUTATIONS = tuple(itertools.permutations(range(4)))
 IDENTITY_PERMUTATION = AXIS_PERMUTATIONS[0]
-
-# the solves of orbit representatives and of the leg sets transported from
-# them, (legs, trunc) -> DtptSolve; like the root memo ``vertexcalc._MEMO``
-# it lives in process and serves only runs without a cache
-_DTPT_MEMO = {}
 
 
 def inverse_permutation(p):

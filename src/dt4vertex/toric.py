@@ -16,12 +16,13 @@ coefficients, so no sign arises and the parity is unchanged.
 The chart-level sign checks of the global identity are decided the same
 way: as a function of the standard values, the relabelled root is s A(r)
 with s = +-1, so each chart's Nekrasov and DT/PT identities are A of
-standard ones.  ``chart_sign_reports`` solves Nekrasov once and each S4
-orbit of leg tuples once, in standard coordinates.  It moves each leg
-tuple's solve from its orbit's representative once, and every solve to
-each chart that needs it, by the one move of ``signsearch``
-(``move_order``); composing the permutation with each chart instead would
-enumerate the leg tuple's fixed points again for every chart.
+standard ones.  ``chart_sign_reports`` solves Nekrasov once, and takes
+each leg tuple's solve from ``solve_dtpt``, which solves each S4 orbit of
+leg tuples once, in standard coordinates, and keeps its solves in the
+run's root store.  Every solve is moved to each chart that needs it by the
+one move of ``signsearch`` (``move_order``); composing the permutation
+with each chart instead would enumerate the leg tuple's fixed points again
+for every chart.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ from .signsearch import (
     dtpt_report,
     nekrasov_rational_subst,
     nekrasov_report,
-    orbit_representative,
     solve_dtpt,
     solve_nekrasov,
     solve_signed_sum,
-    transport_dtpt,
 )
 from .vertexcalc import (
     AXIS_WEIGHTS,
@@ -645,35 +644,27 @@ def chart_tangent_euler(g, alpha):
     return acc
 
 
-def _tau_from_characters(g, gamma, chart_chars):
-    total = LambdaRat.from_int(0)
-    for alpha, z in enumerate(chart_chars):
-        a = z.times_d().subst(g.charts[alpha])
-        ch3 = _ch3(a)
-        if ch3.is_zero():
-            continue
-        inv_euler = (chart_tangent_euler(g, alpha) ** -1).expand()
-        total = total + ch3 * gamma.per_chart[alpha] * inv_euler
+def _insertion_product(g, gammas, chart_chars):
+    """Product over the insertion classes of the localized ch3 pairing with
+    ``chart_chars``, one character per chart."""
+    total = LambdaRat.from_int(1)
+    for gamma in gammas:
+        tau = LambdaRat.from_int(0)
+        for alpha, z in enumerate(chart_chars):
+            ch3 = _ch3(z.times_d().subst(g.charts[alpha]))
+            if ch3.is_zero():
+                continue
+            inv_euler = (chart_tangent_euler(g, alpha) ** -1).expand()
+            tau = tau + ch3 * gamma.per_chart[alpha] * inv_euler
+        total = total * tau
     return total
 
 
 def insertion_value(gammas, fp):
-    """Product over the insertion classes of the localized ch3 pairing; DT
-    and PT fixed points over a common CM curve give identical values."""
+    """The insertion product of a fixed point's own characters; DT and PT
+    fixed points over a common CM curve give identical values."""
     g = fp.geometry
-    chart_chars = [fp.chart_character(alpha) for alpha in range(g.nverts())]
-    total = LambdaRat.from_int(1)
-    for gamma in gammas:
-        total = total * _tau_from_characters(g, gamma, chart_chars)
-    return total
-
-
-def insertion_value_cm(g, gammas, legs_per_chart):
-    chart_chars = [dt_character(SolidPartition(L)) for L in legs_per_chart]
-    total = LambdaRat.from_int(1)
-    for gamma in gammas:
-        total = total * _tau_from_characters(g, gamma, chart_chars)
-    return total
+    return _insertion_product(g, gammas, [fp.chart_character(a) for a in range(g.nverts())])
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +695,7 @@ def global_series(g, beta, flavor, gammas, trunc, signs=None, cache=None):
             )
             scalar = scalar * root.expand().scale(sign_of(signs, key))
         if gammas:
-            scalar = scalar * insertion_value_cm(g, gammas, legs)
+            scalar = scalar * _insertion_product(g, gammas, [dt_character(cm) for cm in cms])
         if scalar.is_zero():
             continue
         prod = None
@@ -796,14 +787,13 @@ def chart_sign_reports(g, beta, trunc, cache=None):
     check fails ends the sequence.
 
     Every report is moved from a solve in standard coordinates (see
-    ``signsearch``).  Nekrasov is solved once, and each S4 orbit of leg
-    tuples once, at its representative; each leg tuple's solve is moved
-    from that one once, then to each chart.  The solves are shared within
-    this call, with a cache too."""
+    ``signsearch``).  Nekrasov is solved once; ``solve_dtpt`` keeps the
+    DT/PT solves in the root store, so each S4 orbit of leg tuples is
+    solved once, at its representative, and each leg tuple's solve is
+    moved from that one once, then to each chart."""
     empty = (EMPTY_PP,) * 4
     needs = _required_leg_tuples(g, beta)
     nek_solve = solve_nekrasov(trunc - 1, cache)
-    solves = {}
     for alpha, cols in enumerate(g.charts):
         nek = nekrasov_report(nek_solve, cols)
         yield alpha, None, nek
@@ -813,12 +803,7 @@ def chart_sign_reports(g, beta, trunc, cache=None):
             needs[alpha] - {empty}, key=lambda Ls: tuple(pp.sort_key() for pp in Ls)
         )
         for L in legs:
-            if L not in solves:
-                rep, p = orbit_representative(L)
-                if rep not in solves:
-                    solves[rep] = solve_dtpt(rep, trunc, cache)
-                solves[L] = transport_dtpt(solves[rep], p, L)
-            yield alpha, L, dtpt_report(solves[L], cols)
+            yield alpha, L, dtpt_report(solve_dtpt(L, trunc, cache), cols)
 
 
 def check_affine_implies_toric(g, beta, trunc, gammas=(), cache=None):

@@ -20,10 +20,11 @@ first nonzero coefficient (under l1 > l2 > l3) is kept.  All reported
 values are canonical; sign assignments are interpreted relative to this
 convention.
 
-Each root is computed, memoized and cached once per fixed point, in
-standard coordinates.  A chart's root is that root relabelled by the
-chart's substitution (``relabel_root``); its sign key is the fixed-point
-key behind the substitution's prefix (``subst_key``).
+Each root is computed once per fixed point, in standard coordinates, and
+kept in a root store: ``MEMORY`` for runs without a cache, or the
+``cache.VertexCache`` a run is given.  A chart's root is that root
+relabelled by the chart's substitution (``relabel_root``); its sign key is
+the fixed-point key behind the substitution's prefix (``subst_key``).
 """
 
 from __future__ import annotations
@@ -362,23 +363,7 @@ def euler_full_product(v):
 
 
 # ---------------------------------------------------------------------------
-# vertex and edge computations with memoization
-
-
-@dataclass(frozen=True)
-class VertexCharacter:
-    """A fixed point's character and its redistributed vertex."""
-
-    key: str
-    Z: Character
-    V: TLaurent
-
-
-@dataclass(frozen=True)
-class EdgeCharacter:
-    pp: object
-    edge: EdgeData
-    E: TLaurent
+# vertex and edge roots, kept in a root store
 
 
 def subst_key(subst):
@@ -388,35 +373,48 @@ def subst_key(subst):
 
 
 def dt_vertex_character(sp):
-    z = dt_character(sp)
-    return VertexCharacter(sp.key(), z, redistribute_vertex(z))
+    """The vertex Laurent polynomial of a DT fixed point."""
+    return redistribute_vertex(dt_character(sp))
 
 
 def pt_vertex_character(config):
-    z = pt_character(config)
-    return VertexCharacter(config.key(), z, redistribute_vertex(z))
+    """The vertex Laurent polynomial of a PT fixed point."""
+    return redistribute_vertex(pt_character(config))
 
 
-_MEMO = {}
+class RootStore:
+    """A store of Euler roots by fixed-point key, ``get(key)`` (None when
+    absent) and ``put(key, root)``, and of DT/PT solves by (legs, trunc) in
+    ``solves``.  This one lives in process; ``cache.VertexCache`` is the
+    same protocol persisted to a file, and keeps its solves as long as it
+    lives."""
+
+    def __init__(self):
+        self.roots = {}
+        self.solves = {}
+
+    def get(self, key):
+        return self.roots.get(key)
+
+    def put(self, key, root):
+        self.roots[key] = root
+
+
+# the store of every run without a cache
+MEMORY = RootStore()
 
 
 def _root_cached(base_key, subst, make_v, cache):
     """(sign key, root) of a fixed point under ``subst``: the standard root
-    comes from the memo, or from the cache when one is given, both keyed by
+    comes from the store, ``cache`` or else ``MEMORY``, keyed by
     ``base_key``, and is relabelled when ``subst`` is not the identity."""
     prefix = subst_key(subst)
     forms = substitution_forms(subst) if prefix else None
-    if cache is None:
-        root = _MEMO.get(base_key)
-        if root is None:
-            root = _MEMO[base_key] = euler_sqrt(make_v())
-    else:
-        rec = cache.get(base_key)
-        if rec is not None:
-            root = SqrtEuler.from_json(rec["root"])
-        else:
-            root = euler_sqrt(make_v())
-            cache.put(base_key, {"key": base_key, "root": root.to_json()})
+    store = MEMORY if cache is None else cache
+    root = store.get(base_key)
+    if root is None:
+        root = euler_sqrt(make_v())
+        store.put(base_key, root)
     if forms is not None:
         _, root = relabel_root(root, forms)
     return prefix + base_key, root
@@ -424,12 +422,12 @@ def _root_cached(base_key, subst, make_v, cache):
 
 def dt_vertex_root(sp, subst=None, cache=None):
     """Canonical Euler root of a DT fixed point, with its sign key."""
-    return _root_cached(sp.key(), subst, lambda: dt_vertex_character(sp).V, cache)
+    return _root_cached(sp.key(), subst, lambda: dt_vertex_character(sp), cache)
 
 
 def pt_vertex_root(config, subst=None, cache=None):
     return _root_cached(
-        config.key(), subst, lambda: pt_vertex_character(config).V, cache
+        config.key(), subst, lambda: pt_vertex_character(config), cache
     )
 
 
@@ -439,15 +437,14 @@ def edge_key(pp, e):
 
 
 def edge_character(pp, e):
-    if not isinstance(e, EdgeData):
-        e = EdgeData(*e)
-    return EdgeCharacter(pp, e, redistribute_edge(pp, e))
+    """The edge Laurent polynomial of a leg along an edge of degrees ``e``."""
+    return redistribute_edge(pp, e)
 
 
 def edge_root(pp, e, subst=None, cache=None):
     """Canonical Euler root of an edge term."""
     return _root_cached(
-        edge_key(pp, e), subst, lambda: edge_character(pp, e).E, cache
+        edge_key(pp, e), subst, lambda: edge_character(pp, e), cache
     )
 
 

@@ -46,7 +46,9 @@ from dt4vertex.toric import (
 )
 from dt4vertex.vertexcalc import (
     check_cy_symmetric,
+    dt_character,
     dt_vertex_character,
+    pt_character,
     pt_vertex_character,
     redistribute_edge,
     redistribute_vertex_division_oracle,
@@ -189,16 +191,16 @@ class TestCriterion5Properties:
         # division oracle, whose four divisions by (1 - t_i) must be exact
         ok = True
         for sp in self.desk_partitions():
-            c = dt_vertex_character(sp)
-            ok = ok and c.V == redistribute_vertex_division_oracle(c.Z, sp.legs)
-            ok = ok and check_cy_symmetric(c.V)
+            v = dt_vertex_character(sp)
+            ok = ok and v == redistribute_vertex_division_oracle(dt_character(sp), sp.legs)
+            ok = ok and check_cy_symmetric(v)
         box = PlanePartition([[1]])
         for legs in [(box, E, E, E), (box, box, E, E)]:
             module = build_leg_module(*legs)
             for cfg in enumerate_boxconfigs(module, 2):
-                c = pt_vertex_character(cfg)
-                ok = ok and c.V == redistribute_vertex_division_oracle(c.Z, legs)
-                ok = ok and check_cy_symmetric(c.V)
+                v = pt_vertex_character(cfg)
+                ok = ok and v == redistribute_vertex_division_oracle(pt_character(cfg), legs)
+                ok = ok and check_cy_symmetric(v)
         for pp in (box, PlanePartition([[2], [1]])):
             for deg in [(0, -1, -1), (1, -1, -2)]:
                 ok = ok and check_cy_symmetric(redistribute_edge(pp, deg))

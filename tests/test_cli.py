@@ -4,11 +4,11 @@ import json
 import pytest
 
 from dt4vertex import cli, signsearch, vertexcalc
-from dt4vertex.cache import VertexCache
+from dt4vertex.cache import VertexCache, _checksum
 from dt4vertex.cli import main, parse_legs
 from dt4vertex.exactalg import FactoredWeightProduct
 from dt4vertex.partitions import EMPTY_PP, PlanePartition, enumerate_dt
-from dt4vertex.toric import preset_local_p2
+from dt4vertex.toric import cm_assignments, preset_local_p2
 from dt4vertex.vertexcalc import SQRT_CONVENTION, SqrtEuler
 
 
@@ -647,6 +647,41 @@ class TestCacheCommand:
         )
 
     @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda root: {"value": 1},
+            lambda root: {"value": root["value"]},
+            lambda root: dict(root, value=dict(root["value"], scalar=[1])),
+            lambda root: dict(root, value=dict(root["value"], scalar=[1, 0])),
+            lambda root: dict(root, value=dict(root["value"], factors=[[[2, 0, 0], 1]])),
+            lambda root: dict(root, value=dict(
+                root["value"], factors=[[f, e + 0.5] for f, e in root["value"]["factors"]]
+            )),
+            lambda root: dict(root, parity=2),
+        ],
+        ids=["value-not-a-dict", "no-parity", "short-scalar", "zero-denominator",
+             "non-primitive-factor", "fractional-exponent", "parity-2"],
+    )
+    def test_malformed_root_is_an_error(self, tmp_path, damage):
+        # a root that passes its CRC-32 but does not decode used to escape
+        # as a TypeError (exit 1, the failure status) on its first read
+        cdir = str(tmp_path / "cache")
+        args = ["vertex", "--flavor", "dt", "--legs", "[],[],[],[]", "--use-cache",
+                "--cache-dir", cdir]
+        assert run(args + ["--order", "3"])[0] == 0
+        path = tmp_path / "cache" / "vertices.jsonl"
+        header, *lines = path.read_text().splitlines()
+        key = "dt:[],[],[],[];add:(0,0,0,0)"
+        records = [json.loads(line) for line in lines]
+        [rec] = [r for r in records if r["key"] == key]
+        rec["root"] = damage(rec["root"])
+        rec["crc32"] = _checksum(key, rec["root"])
+        path.write_text("\n".join([header] + [json.dumps(r) for r in records]) + "\n")
+        error = f"error: malformed root {key!r} in cache file {path}\n"
+        assert run(args + ["--order", "2"]) == (2, error)
+        assert run(["cache", "list", "--cache-dir", cdir]) == (2, error)
+
+    @pytest.mark.parametrize(
         "content, message",
         [
             (b'{"format": "other"}\n', "unrecognized cache file"),
@@ -667,3 +702,60 @@ class TestCacheCommand:
         assert run(["cache", "clear", "--cache-dir", str(cdir)]) == (0, "cache cleared\n")
         assert not path.exists()
         assert run(["cache", "stats", "--cache-dir", str(cdir)])[0] == 0
+
+
+class TestStoreTraffic:
+    """What a command solves, and where it reads its roots from."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        """The argument tuples of every call of ``signsearch.<name>``."""
+        calls = []
+        real = getattr(signsearch, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(signsearch, name, counted)
+        return calls
+
+    def test_global_solves_each_orbit_once_and_moves_each_leg_tuple_once(
+        self, tmp_path, monkeypatch
+    ):
+        direct = self.count(monkeypatch, "solve_dtpt_direct")
+        moved = self.count(monkeypatch, "transport_dtpt")
+        argv = ["check", "global", "--geometry", "localp2", "--beta", "1", "--order", "3",
+                "--use-cache", "--cache-dir", str(tmp_path)]
+        assert run(argv)[0] == 0
+        g = preset_local_p2()
+        needed = {L for pps in cm_assignments(g, (1,)) for L in g.chart_legs(pps)}
+        needed.discard((EMPTY_PP,) * 4)
+        orbits = {signsearch.orbit_representative(L)[0] for L in needed}
+        assert len(orbits) < len(needed)  # some leg tuples are moved, not solved
+        assert sorted(map(repr, (args[0] for args in direct))) == sorted(map(repr, orbits))
+        assert all(isinstance(args[2], VertexCache) for args in direct)
+        # a representative solved before it is asked for needs no move
+        moved_legs = [args[2] for args in moved]
+        assert len(moved_legs) == len(set(moved_legs))
+        assert needed - orbits <= set(moved_legs) <= needed
+
+    def test_each_cached_command_solves_and_the_second_reads_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        direct = self.count(monkeypatch, "solve_dtpt_direct")
+        made = []
+
+        def recording(directory=None):
+            made.append(VertexCache(directory))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "VertexCache", recording)
+        argv = ["check", "dtpt", "--legs", "[[1]],[],[],[]", "--order", "3",
+                "--use-cache", "--cache-dir", str(tmp_path)]
+        assert run(argv)[0] == 0
+        assert run(argv)[0] == 0
+        assert len(direct) == 2 and [args[2] for args in direct] == made
+        cold, warm = made
+        assert cold.misses > 0
+        assert warm.hits > 0 and warm.misses == 0

@@ -31,7 +31,7 @@ from dt4vertex.signsearch import (
     solve_dtpt_direct,
     solve_signed_sum,
 )
-from dt4vertex.vertexcalc import dt_vertex_root, dt_vertex_series
+from dt4vertex.vertexcalc import MEMORY, dt_vertex_root, dt_vertex_series
 from test_acceptance import leg_tuples
 
 BOX = PlanePartition([[1]])
@@ -454,7 +454,7 @@ class TestDTPT:
             return key, root
 
         monkeypatch.setattr(signsearch, "dt_vertex_root", guarded)
-        signsearch._DTPT_MEMO.clear()  # the guarded run must solve again
+        MEMORY.solves.clear()  # the guarded run must solve again
         rep = check_dtpt(BOX, E, E, E, 4)
         assert rep.ok
         assert rep.render_json() == want
@@ -558,20 +558,27 @@ class TestOrbitTransport:
 
     def test_memo_hit_equals_direct_solve(self, monkeypatch):
         # a leg set that is not its orbit's representative is transported
-        # once; the next call returns the kept solve and transports nothing
+        # once; the next call returns the kept solve and solves and
+        # transports nothing, as does the command after it
         legs = (E, BOX, E, E)
         assert orbit_representative(legs)[0] != legs
         first = solve_dtpt(list(legs), 3)
-        moved = []
-        real = signsearch.transport_dtpt
+        moved, solved = [], []
+        real_move, real_solve = signsearch.transport_dtpt, signsearch.solve_dtpt_direct
 
-        def counted(solve, p, L):
+        def counted_move(solve, p, L):
             moved.append(L)
-            return real(solve, p, L)
+            return real_move(solve, p, L)
 
-        monkeypatch.setattr(signsearch, "transport_dtpt", counted)
+        def counted_solve(L, trunc, cache=None):
+            solved.append(L)
+            return real_solve(L, trunc, cache)
+
+        monkeypatch.setattr(signsearch, "transport_dtpt", counted_move)
+        monkeypatch.setattr(signsearch, "solve_dtpt_direct", counted_solve)
         hit = solve_dtpt(legs, 3)
-        assert hit is first and moved == []
+        assert hit is first and moved == [] and solved == []
+        assert check_dtpt(*legs, 3).ok and moved == [] and solved == []
         want = solve_dtpt_direct(legs, 3)
         assert (hit.legs, hit.trunc, hit.lowest, hit.prefix) == (
             want.legs, want.trunc, want.lowest, want.prefix

@@ -275,14 +275,14 @@ class TestSubstitutionCoherence:
         substs, degrees = preset_substitutions()
         vertices = []
         for legs in small_leg_tuples():
-            vertices += [dt_vertex_character(sp).V for sp in enumerate_dt(*legs, 2)]
+            vertices += [dt_vertex_character(sp) for sp in enumerate_dt(*legs, 2)]
             vertices += [
-                pt_vertex_character(c).V
+                pt_vertex_character(c)
                 for c in enumerate_boxconfigs(LegModule(legs), 2)
             ]
         for n in range(4):
             for pp in plane_partitions_of(n):
-                vertices += [edge_character(pp, d).E for d in degrees]
+                vertices += [edge_character(pp, d) for d in degrees]
         compared = 0
         for v in vertices:
             root = euler_sqrt(v)

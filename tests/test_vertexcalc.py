@@ -154,7 +154,7 @@ class TestRedistribute:
 
     def test_symmetry_single_leg_cm(self):
         sp = SolidPartition((BOX, E, E, E))
-        v = dt_vertex_character(sp).V
+        v = dt_vertex_character(sp)
         assert check_cy_symmetric(v)
 
     def test_no_positive_t_fixed_terms(self):
@@ -162,7 +162,7 @@ class TestRedistribute:
         pool += list(enumerate_dt(BOX, BOX, E, E, 2))
         pool += list(enumerate_dt(E, E, BOX, BOX, 2))
         for sp in pool:
-            v = dt_vertex_character(sp).V
+            v = dt_vertex_character(sp)
             for w, c in v.terms.items():
                 if w[0] == w[1] == w[2] == w[3]:
                     assert c < 0 or w != (0, 0, 0, 0)
@@ -234,7 +234,7 @@ class TestEulerSqrt:
         pool = [sp for n in range(4) for sp in enumerate_pointlike(n)]
         pool += list(enumerate_dt(BOX, E, BOX, E, 1))
         for sp in pool:
-            v = dt_vertex_character(sp).V
+            v = dt_vertex_character(sp)
             root = euler_sqrt(v)
             et = euler_full_product(v)
             lhs = root.expand() * root.expand()
@@ -254,17 +254,17 @@ class TestEulerSqrt:
                     parity += c
             return value, parity % 2
 
-        chars = [dt_vertex_character(sp) for sp in enumerate_dt(E, E, E, E, 5)]
-        chars += [dt_vertex_character(sp) for sp in enumerate_dt(BOX, BOX, E, E, 2)]
+        vertices = [dt_vertex_character(sp) for sp in enumerate_dt(E, E, E, E, 5)]
+        vertices += [dt_vertex_character(sp) for sp in enumerate_dt(BOX, BOX, E, E, 2)]
         module = build_leg_module(BOX, BOX, E, E)
-        chars += [pt_vertex_character(c) for c in enumerate_boxconfigs(module, 2)]
+        vertices += [pt_vertex_character(c) for c in enumerate_boxconfigs(module, 2)]
         nonzero = 0
-        for ch in chars:
-            root = euler_sqrt(ch.V)
+        for v in vertices:
+            root = euler_sqrt(v)
             if root.is_zero():
                 continue
             nonzero += 1
-            value, parity = chain(ch.V)
+            value, parity = chain(v)
             assert root.parity == parity
             assert (root.value.sign, root.value.scalar) == (value.sign, value.scalar)
             assert list(root.value.factors.items()) == list(value.factors.items())
@@ -293,7 +293,7 @@ class TestChartRoots:
         assert key == subst_key(self.CHART) + sp.key()
         std_key, std_root = dt_vertex_root(sp, None, cache)
         assert cache.keys() == [std_key] == [sp.key()]
-        v = dt_vertex_character(sp).V
+        v = dt_vertex_character(sp)
         assert root.value == euler_sqrt(v.subst(self.CHART)).value
         assert std_root.value == euler_sqrt(v).value
         again = VertexCache(str(tmp_path))
